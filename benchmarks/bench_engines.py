@@ -68,11 +68,11 @@ def test_threshold_search_benchmark(benchmark):
 
 
 def test_uncle_candidate_lookup_benchmark(benchmark):
-    """Track the uncle-selection hot path: candidate lookup over a finished tree.
+    """Track the uncle-selection hot path over a finished tree.
 
-    The incremental fork-children index makes this proportional to the number of
-    forked blocks in the window instead of every block mined in it (the seed
-    behaviour, still available as ``blocks_in_height_range``).
+    Runs ``select_uncles`` from every block of a finished chain run as the
+    parent, once with the pool's full view and once with the honest published
+    view — the call both simulators make per mined block.
     """
     config = SimulationConfig(
         params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=scaled(10_000), seed=1
@@ -80,15 +80,18 @@ def test_uncle_candidate_lookup_benchmark(benchmark):
     simulator = ChainSimulator(config)
     simulator.run()
     tree = simulator.tree
-    top = tree.max_height()
+    published = tree.published_ids
 
-    def scan_all_windows():
+    def select_from_every_parent():
         total = 0
-        for height in range(1, top + 1):
-            total += len(tree.uncle_candidates(height - 6, height - 1, published_only=True))
+        for parent_id in range(len(tree)):
+            total += len(tree.select_uncles(parent_id, max_distance=6, max_count=2))
+            total += len(
+                tree.select_uncles(parent_id, max_distance=6, max_count=2, known=published)
+            )
         return total
 
-    total = benchmark(scan_all_windows)
+    total = benchmark(select_from_every_parent)
     assert total > 0
 
 
@@ -102,58 +105,12 @@ def test_chain_simulator_benchmark(benchmark):
     assert result.total_blocks == blocks
 
 
-def test_chain_simulator_object_tree_benchmark(benchmark):
-    """The same chain workload forced onto the legacy object tree.
-
-    The ``--check`` control for the PR 10 array-backed chain core: comparing
-    the default backend against this replica in the same run stays meaningful
-    at any ``REPRO_BENCH_SCALE`` and under CI-runner noise, where comparisons
-    against absolute recorded baselines do not.
-    """
-    blocks = scaled(20_000)
-    benchmark.extra_info["blocks"] = blocks
-    config = SimulationConfig(
-        params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=blocks, seed=1
-    )
-
-    def run_on_object_tree():
-        saved = os.environ.get("REPRO_OBJECT_TREE")
-        os.environ["REPRO_OBJECT_TREE"] = "1"
-        try:
-            return ChainSimulator(config).run()
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_OBJECT_TREE", None)
-            else:
-                os.environ["REPRO_OBJECT_TREE"] = saved
-
-    result = benchmark.pedantic(run_on_object_tree, rounds=1, iterations=1)
-    assert result.total_blocks == blocks
-
-
 def test_markov_monte_carlo_benchmark(benchmark):
-    """The compiled-table Markov backend (the default ``accumulate="table"``)."""
+    """The compiled-table Markov backend."""
     blocks = scaled(100_000)
     benchmark.extra_info["blocks"] = blocks
     config = SimulationConfig(
         params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=blocks, seed=1
     )
     result = benchmark.pedantic(lambda: MarkovMonteCarlo(config).run(), rounds=1, iterations=1)
-    assert result.total_blocks == blocks
-
-
-def test_markov_monte_carlo_scalar_benchmark(benchmark):
-    """The per-event scalar accumulator, kept as a cross-check baseline.
-
-    ``run_benchmarks.py --check`` asserts the table walk beats this path, so the
-    two benchmarks must simulate the same number of blocks.
-    """
-    blocks = scaled(100_000)
-    benchmark.extra_info["blocks"] = blocks
-    config = SimulationConfig(
-        params=PARAMS, schedule=EthereumByzantiumSchedule(), num_blocks=blocks, seed=1
-    )
-    result = benchmark.pedantic(
-        lambda: MarkovMonteCarlo(config, accumulate="scalar").run(), rounds=1, iterations=1
-    )
     assert result.total_blocks == blocks

@@ -33,14 +33,11 @@ Usage::
 
 ``--smoke`` shrinks the simulated block counts (via ``REPRO_BENCH_SCALE``) and runs
 single rounds so the whole suite finishes in seconds.  ``--check`` asserts that the
-compiled-table Markov backend beats the scalar accumulate path (the PR 2
-vectorisation), that the network simulator's zero-latency fast path beats the
-general event loop on the same workload (the PR 6 batched event core), that the
-resilient dispatcher stays near a bare pool.map (PR 7), that the pack-file
-read path beats the loose-entry path by at least 3x (the PR 9 compaction tier),
-that the array-backed chain core beats the legacy object tree on the same
-workload, and — at full scale only — that the simulator benchmarks beat the
-recorded PR 9 era (the PR 10 flat chain core).
+network simulator's zero-latency fast path beats the general event loop on the
+same workload, that the resilient dispatcher stays near a bare pool.map, that
+the pack-file read path beats the loose-entry path by at least 3x, and — at full
+scale only — that the simulator benchmarks beat the timings recorded in
+``BENCH_PR9.json``.
 
 Records made from a dirty working tree are marked as such and loudly warned
 about; ``--require-clean`` (used by CI for published artifacts) refuses to
@@ -321,24 +318,6 @@ def attach_overhead_ratios(records: list[dict]) -> None:
         measured[field] = measured["mean_s"] / replica["mean_s"]
 
 
-def check_vectorised_beats_scalar(records: list[dict]) -> None:
-    """Assert the compiled-table Markov walk is faster than the scalar path."""
-    by_name = {record["name"]: record for record in records}
-    table = by_name.get("test_markov_monte_carlo_benchmark")
-    scalar = by_name.get("test_markov_monte_carlo_scalar_benchmark")
-    if table is None or scalar is None:
-        raise SystemExit("--check needs both Markov Monte Carlo benchmarks in the selection")
-    if table["mean_s"] >= scalar["mean_s"]:
-        raise SystemExit(
-            "vectorised Markov backend did not beat the scalar accumulate path: "
-            f"table {table['mean_s']:.4f}s vs scalar {scalar['mean_s']:.4f}s"
-        )
-    print(
-        f"check OK: table walk {table['mean_s']:.4f}s beats scalar "
-        f"{scalar['mean_s']:.4f}s ({scalar['mean_s'] / table['mean_s']:.1f}x)"
-    )
-
-
 def check_fast_path_beats_event_loop(records: list[dict]) -> None:
     """Assert the zero-latency fast path beats the general loop on its workload."""
     by_name = {record["name"]: record for record in records}
@@ -408,37 +387,12 @@ def check_pack_reads_beat_loose(records: list[dict]) -> None:
     )
 
 
-def check_array_tree_beats_object_tree(records: list[dict]) -> None:
-    """Assert the array-backed chain core beats the legacy object tree.
-
-    The PR 10 acceptance gate in its noise-robust form: both backends run the
-    identical workload in the same invocation on the same machine, so the
-    comparison holds at any ``REPRO_BENCH_SCALE`` where comparisons against
-    absolute recorded baselines do not.
-    """
-    by_name = {record["name"]: record for record in records}
-    array = by_name.get("test_chain_simulator_benchmark")
-    objects = by_name.get("test_chain_simulator_object_tree_benchmark")
-    if array is None or objects is None:
-        raise SystemExit("--check needs both chain simulator benchmarks in the selection")
-    if array["mean_s"] >= objects["mean_s"]:
-        raise SystemExit(
-            "array-backed chain core did not beat the object tree: "
-            f"array {array['mean_s']:.4f}s vs object {objects['mean_s']:.4f}s"
-        )
-    print(
-        f"check OK: array chain core {array['mean_s']:.4f}s beats the object "
-        f"tree {objects['mean_s']:.4f}s ({objects['mean_s'] / array['mean_s']:.1f}x)"
-    )
-
-
 def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
     """Assert the simulator benchmarks beat the recorded PR 9 era (full scale).
 
     Compares against the committed ``BENCH_PR9.json`` timings with the floors
     of ``PR9_CHECK_FLOORS``; recorded baselines are only comparable at scale
-    1.0, so smoke runs skip this gate (they run the same-machine object-tree
-    comparison instead).
+    1.0, so smoke runs skip this gate.
     """
     if scale != 1.0:
         print("check skipped: PR 9 baselines only apply at full scale")
@@ -532,12 +486,10 @@ def main(argv: list[str] | None = None) -> None:
         "--check",
         action="store_true",
         help=(
-            "assert the compiled-table Markov backend beats the scalar path, "
-            "the zero-latency fast path beats the general event loop, the "
-            "resilient dispatcher stays near a bare pool.map, pack-file "
-            "reads beat loose-entry reads by 3x, the array chain core beats "
-            "the object tree, and (at full scale) the simulators beat the "
-            "recorded PR 9 era"
+            "assert the zero-latency fast path beats the general event loop, "
+            "the resilient dispatcher stays near a bare pool.map, pack-file "
+            "reads beat loose-entry reads by 3x, and (at full scale) the "
+            "simulators beat the timings recorded in BENCH_PR9.json"
         ),
     )
     parser.add_argument(
@@ -597,11 +549,9 @@ def main(argv: list[str] | None = None) -> None:
             rate = ""
         print(f"  {record['name']}: {record['mean_s'] * 1e3:.2f} ms{rate}")
     if args.check:
-        check_vectorised_beats_scalar(records)
         check_fast_path_beats_event_loop(records)
         check_dispatcher_overhead(records)
         check_pack_reads_beat_loose(records)
-        check_array_tree_beats_object_tree(records)
         check_simulators_beat_pr9(records, scale)
 
 

@@ -11,7 +11,6 @@ Fig. 8 and the reference against which profitability thresholds are computed.
 from __future__ import annotations
 
 from ..params import MiningParams
-from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
 
 
@@ -30,13 +29,3 @@ def honest_absolute_revenue(params: MiningParams, schedule: RewardSchedule | Non
     if schedule is None:
         schedule = EthereumByzantiumSchedule()
     return params.alpha * schedule.static_reward
-
-
-def honest_revenue_split(params: MiningParams, schedule: RewardSchedule | None = None) -> RevenueSplit:
-    """Per-party reward rates under honest mining (static rewards only)."""
-    if schedule is None:
-        schedule = EthereumByzantiumSchedule()
-    return RevenueSplit(
-        pool=PartyRewards(static=params.alpha * schedule.static_reward),
-        honest=PartyRewards(static=params.beta * schedule.static_reward),
-    )

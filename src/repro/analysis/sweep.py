@@ -36,18 +36,6 @@ def alpha_grid(start: float = 0.0, stop: float = 0.45, step: float = 0.05) -> li
     return values
 
 
-def gamma_grid(start: float = 0.0, stop: float = 1.0, step: float = 0.1) -> list[float]:
-    """An inclusive ``gamma`` grid like the x-axis of Fig. 10."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    values: list[float] = []
-    current = start
-    while current <= stop + 1e-12:
-        values.append(min(max(current, 0.0), 1.0))
-        current += step
-    return values
-
-
 @dataclass(frozen=True)
 class AlphaSweepPoint:
     """Full analytical output at one ``alpha`` value."""

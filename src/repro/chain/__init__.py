@@ -1,34 +1,27 @@
-"""Blockchain substrate: blocks, block trees, fork choice, uncles and settlement.
+"""Blockchain substrate: blocks, the block tree, fork choice, validation and settlement.
 
-The discrete-event simulator of :mod:`repro.simulation` is built on top of this
-subpackage, which knows nothing about mining strategies: it only implements the data
-structures and protocol rules of an Ethereum-style chain with uncle references —
-block/tree bookkeeping, longest-chain and GHOST fork choice, uncle-eligibility rules,
-and the end-of-run reward settlement that walks the main chain and pays static, uncle
-and nephew rewards.
+The discrete-event simulators of :mod:`repro.simulation` and :mod:`repro.network` are
+built on top of this subpackage, which knows nothing about mining strategies: it only
+implements the data structures and protocol rules of an Ethereum-style chain with
+uncle references — the array-backed block tree with its uncle-eligibility rules
+(:meth:`ArrayBlockTree.select_uncles`), longest-chain fork choice, structural
+validation, and the end-of-run reward settlement that pays static, uncle and nephew
+rewards along the main chain.
 """
 
-from .arrays import ArrayBlockTree, make_block_tree
+from .arrays import ArrayBlockTree
 from .block import Block, GENESIS_ID, MinerKind
-from .blocktree import BlockTree
-from .fork_choice import ForkChoiceRule, GhostRule, LongestChainRule
+from .fork_choice import best_tip_id
 from .rewards import ChainSettlement, settle_rewards
-from .uncles import eligible_uncles, is_eligible_uncle
 from .validation import validate_tree
 
 __all__ = [
     "ArrayBlockTree",
     "Block",
-    "BlockTree",
     "ChainSettlement",
-    "ForkChoiceRule",
     "GENESIS_ID",
-    "GhostRule",
-    "LongestChainRule",
     "MinerKind",
-    "eligible_uncles",
-    "is_eligible_uncle",
-    "make_block_tree",
+    "best_tip_id",
     "settle_rewards",
     "validate_tree",
 ]

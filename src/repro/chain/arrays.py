@@ -3,12 +3,9 @@
 :class:`ArrayBlockTree` stores the per-block columns — parent, height, miner
 kind, miner index, creation stamp, publication flag and fixed-width uncle
 slots — in preallocated, geometrically grown numpy arrays instead of one
-:class:`~repro.chain.block.Block` object per block.  It exposes the same API
-surface as the object :class:`~repro.chain.blocktree.BlockTree` (``add_block``
-/ ``publish`` / ``block`` / ``uncle_candidates`` / ``fork_children_index`` /
-``fork_point`` / ``tips`` / …), materialising a ``Block`` NamedTuple only at
-the boundaries that demand one, so the fork-choice rules, the validator, the
-settlement and the metrics layer run on either tree unchanged.
+:class:`~repro.chain.block.Block` object per block.  Blocks are addressed by
+id throughout; :meth:`ArrayBlockTree.block` materialises a ``Block`` record
+for tests and diagnostics only.
 
 Storage layout
 --------------
@@ -22,23 +19,22 @@ the numpy side is brought up to date in one vectorised slice assignment the
 moment a vectorised consumer asks for a column view.  Uncle references are
 kept both as per-block tuples (for the scalar eligibility walk) and as flat
 ``(referencing block, uncle)`` id arrays in reference order (for the
-vectorised settlement); the publication flag lives in a Python set (the
-simulators' shared membership structure) and is lowered to a boolean column
-on demand.
+vectorised settlement and validation); the publication flag lives in a
+Python set (the simulators' shared membership structure) and is lowered to a
+boolean column on demand.
 
 The per-event protocol both simulators drive — ``add_block_id`` /
 ``height_of`` / ``parent_id_of`` / ``is_pool_block`` / ``fork_point_id`` /
-``select_uncles`` / ``ids_at_height`` — is implemented here without any
-``Block`` construction; :class:`~repro.chain.blocktree.BlockTree` implements
-the same protocol on its object storage, so ``REPRO_OBJECT_TREE=1`` swaps the
-implementations under identical simulator code (the equivalence CI cell).
+``select_uncles`` / ``ids_at_height`` — runs without any ``Block``
+construction.  A dict-of-``Block`` reference tree in the test suite grows in
+lockstep with this one and cross-checks blocks, uncle selection, fork points
+and settlement.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -47,32 +43,6 @@ from .block import Block, GENESIS_ID, MinerKind, make_genesis
 
 #: Initial column capacity when the caller gives no sizing hint.
 _DEFAULT_CAPACITY = 1024
-
-
-class _BlockMapping(Mapping):
-    """Read-only dict-like view over an :class:`ArrayBlockTree`'s blocks.
-
-    Keeps ``tree.by_id[...]`` consumers (the generic uncle/eligibility helpers
-    and diagnostics) working against the array tree; every access materialises
-    the requested ``Block``, so hot paths use the scalar accessors instead.
-    """
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, tree: "ArrayBlockTree") -> None:
-        self._tree = tree
-
-    def __getitem__(self, block_id: int) -> Block:
-        return self._tree.block(block_id)
-
-    def __len__(self) -> int:
-        return len(self._tree)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._tree)))
-
-    def __contains__(self, block_id: object) -> bool:
-        return isinstance(block_id, int) and 0 <= block_id < len(self._tree)
 
 
 class ArrayBlockTree:
@@ -107,12 +77,13 @@ class ArrayBlockTree:
         self._height_arr = np.empty(capacity, dtype=np.int64)
         self._kind_arr = np.empty(capacity, dtype=np.int64)
         self._miner_arr = np.empty(capacity, dtype=np.int64)
-        self._created_arr = np.empty(capacity, dtype=np.int64)
         self._flushed = 0
         self._published_cache: np.ndarray | None = None
         self._ref_cache: tuple[np.ndarray, np.ndarray] | None = None
-        # Auxiliary indexes, maintained incrementally exactly like the object
-        # tree's (children lists are created lazily — most blocks are leaves).
+        # Auxiliary indexes, maintained incrementally (children lists are
+        # created lazily — most blocks are leaves).  A block can only ever be
+        # an uncle if its parent has at least two children (rules 1 and 2 of
+        # select_uncles), so those few "fork children" are indexed by height.
         self._children: dict[int, list[int]] = {}
         self._published: set[int] = {GENESIS_ID}
         self._by_height: dict[int, list[int]] = {0: [GENESIS_ID]}
@@ -127,19 +98,11 @@ class ArrayBlockTree:
         self._max_fork_height = 0
 
     # ------------------------------------------------------------------ basic access
-    @property
-    def genesis(self) -> Block:
-        """The genesis block."""
-        return make_genesis()
-
     def __len__(self) -> int:
         return len(self._heights)
 
     def __contains__(self, block_id: int) -> bool:
         return 0 <= block_id < len(self._heights)
-
-    def __iter__(self) -> Iterator[Block]:
-        return (self.block(block_id) for block_id in range(len(self._heights)))
 
     def block(self, block_id: int) -> Block:
         """Materialise the block with identifier ``block_id``."""
@@ -156,15 +119,6 @@ class ArrayBlockTree:
             uncle_ids=self._uncle_tuples[block_id],
         )
 
-    def blocks(self) -> list[Block]:
-        """All blocks in insertion (creation) order."""
-        return [self.block(block_id) for block_id in range(len(self._heights))]
-
-    @property
-    def by_id(self) -> Mapping[int, Block]:
-        """Dict-like id→block view (materialises on access; not a hot path here)."""
-        return _BlockMapping(self)
-
     @property
     def published_ids(self) -> set[int]:
         """The live set of published block ids (shared membership structure)."""
@@ -179,17 +133,6 @@ class ArrayBlockTree:
         """Number of blocks at ``height`` (cheap no-fork check for hot paths)."""
         return len(self._by_height.get(height, ()))
 
-    @property
-    def fork_children_index(self) -> dict[int, list[int]]:
-        """Height-indexed uncle-candidate ids (see :meth:`uncle_candidates`)."""
-        return self._fork_children_by_height
-
-    def children(self, block_id: int) -> list[Block]:
-        """Children of ``block_id`` in insertion order."""
-        if not 0 <= block_id < len(self._heights):
-            raise UnknownBlockError(f"block {block_id} is not in the tree")
-        return [self.block(child) for child in self._children.get(block_id, ())]
-
     # ------------------------------------------------------------------ insertion
     def add_block_id(
         self,
@@ -203,8 +146,11 @@ class ArrayBlockTree:
     ) -> int:
         """Append a new block on top of ``parent_id`` and return its id.
 
-        The structural checks match :meth:`BlockTree.add_block` exactly; no
-        ``Block`` object is built.  This is both simulators' insertion hot path.
+        Structural checks only: the parent and every referenced uncle must
+        already be in the tree, and a block cannot reference the same uncle
+        twice or its own parent.  The protocol's eligibility rules are
+        :meth:`select_uncles`'s job.  No ``Block`` object is built; this is
+        both simulators' insertion hot path.
         """
         heights = self._heights
         count = len(heights)
@@ -279,27 +225,6 @@ class ArrayBlockTree:
         self._published_cache = None
         return block_id
 
-    def add_block(
-        self,
-        parent_id: int,
-        miner: MinerKind,
-        *,
-        miner_index: int = 0,
-        created_at: int = 0,
-        uncle_ids: Iterable[int] = (),
-        published: bool = True,
-    ) -> Block:
-        """Append a new block and return it (object-API compatibility wrapper)."""
-        block_id = self.add_block_id(
-            parent_id,
-            miner,
-            miner_index=miner_index,
-            created_at=created_at,
-            uncle_ids=uncle_ids,
-            published=published,
-        )
-        return self.block(block_id)
-
     # ------------------------------------------------------------------ publication
     def publish(self, block_id: int) -> None:
         """Mark ``block_id`` as published (visible to honest miners)."""
@@ -307,17 +232,6 @@ class ArrayBlockTree:
             raise UnknownBlockError(f"block {block_id} is not in the tree")
         self._published.add(block_id)
         self._published_cache = None
-
-    def is_published(self, block_id: int) -> bool:
-        """True if ``block_id`` has been published."""
-        if not 0 <= block_id < len(self._heights):
-            raise UnknownBlockError(f"block {block_id} is not in the tree")
-        return block_id in self._published
-
-    def published_blocks(self) -> list[Block]:
-        """All published blocks in creation order."""
-        published = self._published
-        return [self.block(bid) for bid in range(len(self._heights)) if bid in published]
 
     def unpublished_ids(self) -> list[int]:
         """Ids of the still-unpublished blocks, ascending."""
@@ -375,13 +289,29 @@ class ArrayBlockTree:
     ) -> list[int]:
         """Uncle references for a block mined on ``parent_id``, protocol-capped.
 
-        One fused pass: the fork-children height index supplies the candidates
-        (filtered by ``known`` membership when the composing miner has a local
-        view; ``None`` means the full tree, the pool's view), a single ancestor
-        walk over the parent column settles rules 1, 2 and 4, and the survivors
-        are ordered oldest-first by ``(height, created_at, block_id)`` before
-        the per-block cap — byte-for-byte the candidate order of
-        ``uncle_candidates`` + :func:`repro.chain.uncles.eligible_uncles`.
+        A block ``U`` may be referenced as an uncle by a new block ``B`` mined
+        on ``parent_id`` when all of the following hold (the Ethereum rules):
+
+        1. ``U`` is not ``B`` itself and not an ancestor of ``B`` — it is a
+           *stale* block from ``B``'s point of view;
+        2. ``U``'s parent *is* an ancestor of ``B`` (an uncle must be a direct
+           child of the chain being extended);
+        3. the referencing distance ``height(B) - height(U)`` is at least 1
+           and at most ``max_distance`` (6 in Ethereum);
+        4. ``U`` has not already been referenced by an ancestor of ``B``;
+        5. ``B`` carries at most ``max_count`` references (2 in Ethereum).
+
+        The composing miner must also know ``U``: ``known`` is its membership
+        set (honest miners know the blocks delivered to them), and ``None``
+        means the full tree, the pool's view.  Eligible blocks are returned
+        oldest first by ``(height, created_at, block_id)`` before the cap of
+        rule 5, which maximises the chance of a reference landing before its
+        window expires — the "reference all (unreferenced) uncle blocks"
+        behaviour of the paper's Algorithm 1.
+
+        One fused pass: the fork-children height index supplies the
+        candidates inside the window (rule 3), and a single ancestor walk over
+        the parent column settles rules 1, 2 and 4.
         """
         if max_count <= 0 or max_distance <= 0:
             return []
@@ -458,22 +388,7 @@ class ArrayBlockTree:
             selected.sort(key=lambda bid: (heights[bid], created[bid], bid))
         return selected[:max_count]
 
-    # ------------------------------------------------------------------ chain walks
-    def ancestors(self, block_id: int, *, include_self: bool = False) -> Iterator[Block]:
-        """Yield the ancestors of ``block_id`` walking towards the genesis block."""
-        block = self.block(block_id)
-        if include_self:
-            yield block
-        while block.parent_id is not None:
-            block = self.block(block.parent_id)
-            yield block
-
-    def chain_to(self, block_id: int) -> list[Block]:
-        """The path from the genesis block to ``block_id``, inclusive, root first."""
-        path = list(self.ancestors(block_id, include_self=True))
-        path.reverse()
-        return path
-
+    # ------------------------------------------------------------------ chains and tips
     def main_chain_ids(self, tip_id: int) -> list[int]:
         """Ids of the path genesis → ``tip_id`` inclusive (one parent-column walk)."""
         if not 0 <= tip_id < len(self._heights):
@@ -488,54 +403,13 @@ class ArrayBlockTree:
             position -= 1
         return chain
 
-    def is_ancestor(self, ancestor_id: int, descendant_id: int) -> bool:
-        """True when ``ancestor_id`` lies on the path from genesis to ``descendant_id``."""
-        heights = self._heights
-        count = len(heights)
-        if not 0 <= ancestor_id < count or not 0 <= descendant_id < count:
-            raise UnknownBlockError("ancestry query for a block that is not in the tree")
-        parents = self._parents
-        ancestor_height = heights[ancestor_id]
-        while True:
-            if descendant_id == ancestor_id:
-                return True
-            if heights[descendant_id] <= ancestor_height:
-                return False
-            descendant_id = parents[descendant_id]
-
-    def fork_point(self, first_id: int, second_id: int) -> Block:
-        """The deepest common ancestor of two blocks (Block-materialising wrapper)."""
-        return self.block(self.fork_point_id(first_id, second_id))
-
-    def common_ancestor(self, first_id: int, second_id: int) -> Block:
-        """The deepest block that is an ancestor of both arguments."""
-        return self.fork_point(first_id, second_id)
-
-    # ------------------------------------------------------------------ tips and heights
-    def tips(self, *, published_only: bool = False) -> list[Block]:
-        """Leaf blocks, optionally restricted to published ones (vectorised).
-
-        Matches the object tree's semantics: with ``published_only`` a
-        published block whose only children are unpublished still counts as a
-        tip.  One boolean pass over the parent column replaces the per-block
-        children scan.
-        """
-        count = len(self._heights)
-        parent = self.parent_column()
-        if published_only:
-            published = self.published_column()
-            has_visible_child = np.zeros(count, dtype=bool)
-            visible_children = published[1:]
-            has_visible_child[parent[1:][visible_children]] = True
-            mask = published & ~has_visible_child
-        else:
-            has_child = np.zeros(count, dtype=bool)
-            has_child[parent[1:]] = True
-            mask = ~has_child
-        return [self.block(int(bid)) for bid in np.nonzero(mask)[0]]
-
     def tip_ids(self, *, published_only: bool = False) -> list[int]:
-        """Leaf block ids (see :meth:`tips`) without materialising ``Block``s."""
+        """Ids of the leaf blocks, ascending, optionally among published ones.
+
+        With ``published_only`` a published block whose only children are
+        unpublished still counts as a tip: it is the deepest block an honest
+        miner can see on that branch.  One boolean pass over the parent column.
+        """
         count = len(self._heights)
         parent = self.parent_column()
         if published_only:
@@ -549,43 +423,6 @@ class ArrayBlockTree:
             mask = ~has_child
         return np.nonzero(mask)[0].tolist()
 
-    def max_height(self, *, published_only: bool = False) -> int:
-        """Largest height present in the tree (optionally among published blocks)."""
-        if published_only:
-            heights = self.height_column()
-            return int(heights[self.published_column()].max())
-        return len(self._by_height) - 1
-
-    def blocks_at_height(self, height: int, *, published_only: bool = False) -> list[Block]:
-        """All blocks at a given height, in creation order."""
-        block_ids = self._by_height.get(height, [])
-        if published_only:
-            published = self._published
-            block_ids = [bid for bid in block_ids if bid in published]
-        return [self.block(bid) for bid in block_ids]
-
-    def blocks_in_height_range(
-        self, low: int, high: int, *, published_only: bool = False
-    ) -> list[Block]:
-        """All blocks with ``low <= height <= high`` (uncle-candidate lookup)."""
-        result: list[Block] = []
-        for height in range(max(low, 0), high + 1):
-            result.extend(self.blocks_at_height(height, published_only=published_only))
-        return result
-
-    def uncle_candidates(
-        self, low: int, high: int, *, published_only: bool = False
-    ) -> list[Block]:
-        """Blocks in the height window whose parent has at least two children."""
-        result: list[Block] = []
-        published = self._published
-        for height in range(max(low, 1), high + 1):
-            for block_id in self._fork_children_by_height.get(height, ()):
-                if published_only and block_id not in published:
-                    continue
-                result.append(self.block(block_id))
-        return result
-
     # ------------------------------------------------------------------ column views
     def _flush(self) -> None:
         """Bring the numpy columns up to date with the scalar write tails."""
@@ -598,7 +435,7 @@ class ArrayBlockTree:
             while capacity < count:
                 capacity *= 2
             self._capacity = capacity
-            for name in ("_parent_arr", "_height_arr", "_kind_arr", "_miner_arr", "_created_arr"):
+            for name in ("_parent_arr", "_height_arr", "_kind_arr", "_miner_arr"):
                 grown = np.empty(capacity, dtype=np.int64)
                 grown[:flushed] = getattr(self, name)[:flushed]
                 setattr(self, name, grown)
@@ -606,7 +443,6 @@ class ArrayBlockTree:
         self._height_arr[flushed:count] = self._heights[flushed:]
         self._kind_arr[flushed:count] = self._pool_flags[flushed:]
         self._miner_arr[flushed:count] = self._miner_indices[flushed:]
-        self._created_arr[flushed:count] = self._created[flushed:]
         self._flushed = count
 
     def parent_column(self) -> np.ndarray:
@@ -628,11 +464,6 @@ class ArrayBlockTree:
         """Per-party miner indices as int64; read-only view."""
         self._flush()
         return self._miner_arr[: len(self._heights)]
-
-    def created_column(self) -> np.ndarray:
-        """Creation stamps as int64; read-only view."""
-        self._flush()
-        return self._created_arr[: len(self._heights)]
 
     def published_column(self) -> np.ndarray:
         """Publication flags as a boolean column (rebuilt lazily from the set)."""
@@ -663,47 +494,3 @@ class ArrayBlockTree:
         )
         self._ref_cache = columns
         return columns
-
-    def uncle_count_column(self) -> np.ndarray:
-        """Per-block uncle-reference counts as int64."""
-        ref_blocks, _ = self.reference_columns()
-        return np.bincount(ref_blocks, minlength=len(self._heights))
-
-    # ------------------------------------------------------------------ statistics
-    def count_by_miner(self) -> dict[MinerKind, int]:
-        """Number of non-genesis blocks mined by each party."""
-        pool = sum(self._pool_flags)
-        return {
-            MinerKind.POOL: pool,
-            MinerKind.HONEST: len(self._heights) - 1 - pool,
-        }
-
-    def describe(self) -> str:
-        """Short human-readable summary of the tree."""
-        counts = self.count_by_miner()
-        return (
-            f"ArrayBlockTree(blocks={len(self) - 1}, pool={counts[MinerKind.POOL]}, "
-            f"honest={counts[MinerKind.HONEST]}, max_height={self.max_height()})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return self.describe()
-
-
-def object_tree_forced() -> bool:
-    """True when ``REPRO_OBJECT_TREE`` forces the object tree (equivalence CI cell)."""
-    return os.environ.get("REPRO_OBJECT_TREE", "") not in ("", "0")
-
-
-def make_block_tree(capacity: int = _DEFAULT_CAPACITY):
-    """The simulators' tree factory: array-backed unless ``REPRO_OBJECT_TREE`` is set.
-
-    Both trees implement the same per-event protocol, so the simulators run
-    identical code either way; the env-var escape hatch keeps the object tree
-    exercised under the full engine suites until it is fully retired.
-    """
-    if object_tree_forced():
-        from .blocktree import BlockTree
-
-        return BlockTree()
-    return ArrayBlockTree(capacity=capacity)

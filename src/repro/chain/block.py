@@ -2,8 +2,9 @@
 
 A block records who mined it (the selfish pool or an honest miner), its parent, its
 height, the event index at which it was created, and the uncle references it carries.
-Blocks are immutable; all mutable bookkeeping (children, publication status, main
-chain membership) lives in :class:`repro.chain.blocktree.BlockTree`.
+The simulators store blocks as columns of :class:`repro.chain.arrays.ArrayBlockTree`,
+which also holds all mutable bookkeeping (children, publication status); a
+:class:`Block` record is materialised from it by id for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ class MinerKind(enum.Enum):
 
 
 class Block(NamedTuple):
-    """One block of the simulated chain.
-
-    A :class:`typing.NamedTuple` rather than a frozen dataclass: the simulators
-    create one instance per mined block on their hottest path, and the named
-    tuple's C-level construction is several times cheaper than the frozen
-    dataclass's per-field ``object.__setattr__`` while keeping the same
-    immutable, keyword-constructible, value-compared record semantics.
+    """One block of the simulated chain: an immutable, value-compared record.
 
     Attributes
     ----------

@@ -1,132 +1,24 @@
-"""Fork-choice rules: how a miner picks the chain tip to mine on.
+"""Fork choice: the chain tip a finished run settles on.
 
 The paper's honest miners use the longest-chain rule (footnote 2 of the paper notes
 that although Ethereum describes GHOST, its implementation effectively follows the
-longest chain).  Ties between equally long public branches are the whole point of the
-``gamma`` parameter, so the rules here return *all* best tips and leave tie-breaking
-to the caller (the simulator breaks ties with its ``gamma`` coin; tests can break them
-deterministically).
-
-A GHOST (heaviest-subtree) rule is included as well: it is not used by the paper's
-main analysis, but having it allows the example scripts and extension experiments to
-contrast the two rules on the same simulated trees.
+longest chain).  Ties between equally long public branches during a run are the
+whole point of the ``gamma`` parameter, which the simulators apply themselves; the
+end-of-run settlement needs a single deterministic tip, which :func:`best_tip_id`
+provides.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 from ..errors import ChainStructureError
-from .block import Block
-from .blocktree import BlockTree
+from .arrays import ArrayBlockTree
 
 
-class ForkChoiceRule(ABC):
-    """Interface: given a tree, return the best tip(s) visible to a miner."""
-
-    @abstractmethod
-    def best_tips(self, tree: BlockTree, *, published_only: bool = True) -> list[Block]:
-        """Return every tip that is maximal under the rule (ties preserved)."""
-
-    def best_tip(self, tree: BlockTree, *, published_only: bool = True) -> Block:
-        """Return a single best tip, breaking ties by earliest creation.
-
-        Deterministic tie-breaking is convenient for settlement and tests; the
-        simulator never relies on it for honest miners (it applies the ``gamma`` rule
-        instead).
-        """
-        tips = self.best_tips(tree, published_only=published_only)
-        if not tips:
-            raise ChainStructureError("fork choice found no eligible tips")
-        return min(tips, key=lambda block: (block.created_at, block.block_id))
-
-    def best_tip_id(self, tree: BlockTree, *, published_only: bool = True) -> int:
-        """Id of :meth:`best_tip` — rules may override with a block-free path."""
-        return self.best_tip(tree, published_only=published_only).block_id
-
-
-class LongestChainRule(ForkChoiceRule):
-    """The longest-chain rule: the tip(s) of maximum height win."""
-
-    def best_tips(self, tree: BlockTree, *, published_only: bool = True) -> list[Block]:
-        tip_ids = tree.tip_ids(published_only=published_only)
-        if not tip_ids:
-            return []
-        height_of = tree.height_of
-        best_height = max(height_of(tip) for tip in tip_ids)
-        return [tree.block(tip) for tip in tip_ids if height_of(tip) == best_height]
-
-    def best_tip_id(self, tree: BlockTree, *, published_only: bool = True) -> int:
-        """Single best tip id over the scalar protocol (no ``Block`` objects).
-
-        Same tie-breaking as :meth:`ForkChoiceRule.best_tip`: earliest creation
-        time, then lowest id.
-        """
-        tip_ids = tree.tip_ids(published_only=published_only)
-        if not tip_ids:
-            raise ChainStructureError("fork choice found no eligible tips")
-        height_of = tree.height_of
-        created_at_of = tree.created_at_of
-        best_id = -1
-        best_key = None
-        for tip in tip_ids:
-            key = (-height_of(tip), created_at_of(tip), tip)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_id = tip
-        return best_id
-
-
-class GhostRule(ForkChoiceRule):
-    """The GHOST rule: repeatedly descend into the child with the heaviest subtree.
-
-    The weight of a subtree is its number of blocks (uncle references do not add
-    weight here; the simulated trees are small enough that the distinction does not
-    matter for the comparisons the examples draw).
-    """
-
-    def best_tips(self, tree: BlockTree, *, published_only: bool = True) -> list[Block]:
-        def visible(block: Block) -> bool:
-            return (not published_only) or tree.is_published(block.block_id)
-
-        def subtree_weight(block: Block) -> int:
-            weight = 1
-            for child in tree.children(block.block_id):
-                if visible(child):
-                    weight += subtree_weight(child)
-            return weight
-
-        current = tree.genesis
-        while True:
-            children = [child for child in tree.children(current.block_id) if visible(child)]
-            if not children:
-                return [current]
-            weights = {child.block_id: subtree_weight(child) for child in children}
-            best_weight = max(weights.values())
-            heaviest = [child for child in children if weights[child.block_id] == best_weight]
-            if len(heaviest) > 1:
-                # A tie at this level produces one best tip per heaviest child branch.
-                tips: list[Block] = []
-                for child in heaviest:
-                    tips.extend(self._descend(tree, child, visible))
-                return tips
-            current = heaviest[0]
-
-    def _descend(self, tree: BlockTree, block: Block, visible) -> list[Block]:
-        children = [child for child in tree.children(block.block_id) if visible(child)]
-        if not children:
-            return [block]
-        weights = {child.block_id: self._weight(tree, child, visible) for child in children}
-        best_weight = max(weights.values())
-        tips: list[Block] = []
-        for child in children:
-            if weights[child.block_id] == best_weight:
-                tips.extend(self._descend(tree, child, visible))
-        return tips
-
-    def _weight(self, tree: BlockTree, block: Block, visible) -> int:
-        weight = 1
-        for child in tree.children(block.block_id):
-            if visible(child):
-                weight += self._weight(tree, child, visible)
-        return weight
+def best_tip_id(tree: ArrayBlockTree, *, published_only: bool) -> int:
+    """Id of the longest-chain tip: maximum height, then earliest creation, then lowest id."""
+    tip_ids = tree.tip_ids(published_only=published_only)
+    if not tip_ids:
+        raise ChainStructureError("fork choice found no eligible tips")
+    height_of = tree.height_of
+    created_at_of = tree.created_at_of
+    return min(tip_ids, key=lambda tip: (-height_of(tip), created_at_of(tip), tip))

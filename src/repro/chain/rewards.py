@@ -1,6 +1,6 @@
 """End-of-run reward settlement over a finished block tree.
 
-Given the final tree and the winning tip, settlement walks the main chain and pays
+Given the final tree and the winning tip, settlement pays
 
 * the static reward to the miner of every main-chain block,
 * for every uncle reference carried by a main-chain block: the distance-dependent
@@ -21,12 +21,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import ChainStructureError
+from ..errors import ChainStructureError, ParameterError
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import RewardSchedule
 from .arrays import ArrayBlockTree
-from .block import Block, MinerKind
-from .blocktree import BlockTree
+from .block import MinerKind
+from .validation import first_offending_reference
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class ChainSettlement:
 
 
 def settle_rewards(
-    tree: BlockTree,
+    tree: ArrayBlockTree,
     tip_id: int,
     schedule: RewardSchedule,
     *,
@@ -82,147 +82,29 @@ def settle_rewards(
         Blocks at heights below this value are excluded from both rewards and counts.
         The simulator uses it to discard a warm-up prefix so that long-run averages are
         not biased by the empty-tree start.
+
+    Only the references carried by the included main-chain blocks are settled.
+    Before anything is paid, they are checked in this order, and the first
+    failing check raises for its lowest offending ``(referencing block id,
+    slot)``:
+
+    1. the tip is in the tree (:class:`~repro.errors.ChainStructureError`);
+    2. no main-chain block is referenced as an uncle (``ChainStructureError``);
+    3. no uncle is referenced twice along the main chain — the second
+       reference offends (``ChainStructureError``);
+    4. no referencing distance is negative
+       (:class:`~repro.errors.ParameterError`, as a schedule raises for one).
+
+    The settlement is vectorised over the tree's columns.  Its floats are
+    bit-identical to crediting block by block along the main chain: main-chain
+    ids strictly increase towards the tip (a parent's id is smaller than its
+    child's), so the tree's flat reference columns filtered to the included
+    main blocks are already in chain order; and ``np.bincount`` accumulates
+    float weights sequentially in input order, so every per-slot sum is the
+    same sequence of additions.
     """
     if tip_id not in tree:
         raise ChainStructureError(f"settlement tip {tip_id} is not in the tree")
-    if isinstance(tree, ArrayBlockTree):
-        settlement = _settle_rewards_arrays(
-            tree, tip_id, schedule, skip_heights_below=skip_heights_below
-        )
-        if settlement is not None:
-            return settlement
-        # A structural violation was detected; replay the walking path over the
-        # same tree (ArrayBlockTree implements the full object API) to raise
-        # the exact first error with the object path's precedence and message.
-    return _settle_rewards_walk(tree, tip_id, schedule, skip_heights_below=skip_heights_below)
-
-
-def _settle_rewards_walk(
-    tree: BlockTree,
-    tip_id: int,
-    schedule: RewardSchedule,
-    *,
-    skip_heights_below: int = 0,
-) -> ChainSettlement:
-    """The block-by-block reference settlement (object trees and error replay)."""
-    main_chain = tree.chain_to(tip_id)
-    main_ids = {block.block_id for block in main_chain}
-
-    # Rewards are accumulated as plain (static, uncle, nephew) float slots — one
-    # triple per miner plus one per party — and wrapped in PartyRewards once at the
-    # end.  The additions happen in the same order as the previous
-    # one-PartyRewards-per-credit implementation, so the totals are bit-identical;
-    # this just avoids building tens of thousands of throwaway dataclasses.
-    per_miner_slots: dict[tuple[MinerKind, int], list[float]] = {}
-    pool_slots = [0.0, 0.0, 0.0]
-    honest_slots = [0.0, 0.0, 0.0]
-
-    def credit(block: Block, slot: int, amount: float) -> None:
-        key = (block.miner, block.miner_index)
-        slots = per_miner_slots.get(key)
-        if slots is None:
-            slots = per_miner_slots[key] = [0.0, 0.0, 0.0]
-        slots[slot] += amount
-        if block.miner.is_pool:
-            pool_slots[slot] += amount
-        else:
-            honest_slots[slot] += amount
-
-    referenced: dict[int, int] = {}  # uncle id -> referencing distance
-    pool_regular = 0
-    honest_regular = 0
-    static_reward = schedule.static_reward
-
-    # Pass 1: static rewards and uncle references along the main chain.
-    for block in main_chain:
-        if block.is_genesis or block.height < skip_heights_below:
-            continue
-        credit(block, 0, static_reward)
-        if block.miner.is_pool:
-            pool_regular += 1
-        else:
-            honest_regular += 1
-        for uncle_id in block.uncle_ids:
-            uncle = tree.block(uncle_id)
-            if uncle.block_id in main_ids:
-                raise ChainStructureError(
-                    f"main-chain block {uncle_id} referenced as an uncle by block {block.block_id}"
-                )
-            if uncle_id in referenced:
-                raise ChainStructureError(f"uncle {uncle_id} referenced twice along the main chain")
-            distance = block.height - uncle.height
-            referenced[uncle_id] = distance
-            if uncle.height >= skip_heights_below:
-                credit(uncle, 1, schedule.uncle_reward(distance))
-                credit(block, 2, schedule.nephew_reward(distance))
-
-    # Pass 2: classify every block.
-    pool_uncles = 0
-    honest_uncles = 0
-    stale = 0
-    total = 0
-    honest_distance_counts: dict[int, int] = {}
-    pool_distance_counts: dict[int, int] = {}
-    for block in tree.blocks():
-        if block.is_genesis or block.height < skip_heights_below:
-            continue
-        total += 1
-        if block.block_id in main_ids:
-            continue
-        if block.block_id in referenced:
-            distance = referenced[block.block_id]
-            if block.miner.is_pool:
-                pool_uncles += 1
-                pool_distance_counts[distance] = pool_distance_counts.get(distance, 0) + 1
-            else:
-                honest_uncles += 1
-                honest_distance_counts[distance] = honest_distance_counts.get(distance, 0) + 1
-        else:
-            stale += 1
-
-    regular = pool_regular + honest_regular
-    pool = PartyRewards(static=pool_slots[0], uncle=pool_slots[1], nephew=pool_slots[2])
-    honest = PartyRewards(static=honest_slots[0], uncle=honest_slots[1], nephew=honest_slots[2])
-    per_miner = {
-        key: PartyRewards(static=slots[0], uncle=slots[1], nephew=slots[2])
-        for key, slots in per_miner_slots.items()
-    }
-    return ChainSettlement(
-        split=RevenueSplit(pool=pool, honest=honest),
-        per_miner=per_miner,
-        regular_blocks=regular,
-        pool_regular_blocks=pool_regular,
-        honest_regular_blocks=honest_regular,
-        uncle_blocks=pool_uncles + honest_uncles,
-        pool_uncle_blocks=pool_uncles,
-        honest_uncle_blocks=honest_uncles,
-        stale_blocks=stale,
-        total_blocks=total,
-        honest_uncle_distance_counts=dict(sorted(honest_distance_counts.items())),
-        pool_uncle_distance_counts=dict(sorted(pool_distance_counts.items())),
-    )
-
-
-def _settle_rewards_arrays(
-    tree: ArrayBlockTree,
-    tip_id: int,
-    schedule: RewardSchedule,
-    *,
-    skip_heights_below: int = 0,
-) -> ChainSettlement | None:
-    """Vectorised settlement over an :class:`ArrayBlockTree`'s columns.
-
-    Returns ``None`` when a structural violation (main-chain uncle reference,
-    double reference, negative referencing distance) is detected, so the caller
-    can replay the walking path and raise the object path's exact first error.
-
-    Bit-exactness with the walking path rests on two facts: main-chain ids
-    strictly increase towards the tip (a parent's id is smaller than its
-    child's), so the tree's flat reference columns filtered to the included
-    main blocks are already in the walk's credit order; and ``np.bincount``
-    accumulates float weights sequentially in input order, so every per-slot
-    float sum is the same sequence of additions the walk performs.
-    """
     skip = skip_heights_below
     heights = tree.height_column()
     kinds = tree.kind_column()
@@ -237,9 +119,8 @@ def _settle_rewards_arrays(
     if skip > 0:
         m_ids = m_ids[heights[m_ids] >= skip]
 
-    # Reference pairs recorded by the walk: only included main blocks record
-    # their references (the walk `continue`s past skipped blocks before its
-    # uncle loop), in chain order with slot order within a block.
+    # Settled reference pairs: those of the included main blocks, in chain
+    # order with slot order within a block.
     ref_blocks, ref_uncles = tree.reference_columns()
     included_main = np.zeros(count, dtype=bool)
     included_main[m_ids] = True
@@ -247,17 +128,33 @@ def _settle_rewards_arrays(
     r_blocks = ref_blocks[ref_mask]
     r_uncles = ref_uncles[ref_mask]
 
-    if r_uncles.size:
-        if is_main[r_uncles].any():
-            return None  # a main-chain block referenced as an uncle
-        if np.unique(r_uncles).size != r_uncles.size:
-            return None  # an uncle referenced twice along the main chain
     distances = heights[r_blocks] - heights[r_uncles]
-    if distances.size and int(distances.min()) < 0:
-        return None  # the walking path rejects negative distances
+    if r_uncles.size:
+        on_main = is_main[r_uncles]
+        if on_main.any():
+            block_id, slot, uncle_id = first_offending_reference(r_blocks, r_uncles, on_main)
+            raise ChainStructureError(
+                f"main-chain block {uncle_id} referenced as an uncle by block "
+                f"{block_id} (slot {slot})"
+            )
+        if np.unique(r_uncles).size != r_uncles.size:
+            _, first_seen = np.unique(r_uncles, return_index=True)
+            repeated = np.ones(r_uncles.size, dtype=bool)
+            repeated[first_seen] = False
+            block_id, slot, uncle_id = first_offending_reference(r_blocks, r_uncles, repeated)
+            raise ChainStructureError(
+                f"uncle {uncle_id} referenced twice along the main chain "
+                f"(again by block {block_id}, slot {slot})"
+            )
+        if int(distances.min()) < 0:
+            block_id, slot, uncle_id = first_offending_reference(r_blocks, r_uncles, distances < 0)
+            raise ParameterError(
+                f"block {block_id} (slot {slot}) references uncle {uncle_id} at "
+                f"negative distance {heights[block_id] - heights[uncle_id]}"
+            )
 
     # Price the encountered distances once (and only those — a custom schedule
-    # must not be probed at distances the walk never evaluates).
+    # must not be probed at distances no reference has).
     if distances.size:
         max_distance = int(distances.max())
         uncle_table = np.zeros(max_distance + 1, dtype=np.float64)
@@ -360,6 +257,6 @@ def _settle_rewards_arrays(
 
 
 def _distance_histogram(distances: np.ndarray) -> dict[int, int]:
-    """``{distance: count}`` ascending by distance (matches the walk's sorted dict)."""
+    """``{distance: count}`` ascending by distance."""
     values, counts = np.unique(distances, return_counts=True)
     return {int(value): int(count) for value, count in zip(values, counts)}

@@ -37,10 +37,6 @@ class UnknownBlockError(ChainStructureError, KeyError):
     """A referenced block hash/identifier is not present in the block tree."""
 
 
-class UncleRuleError(ChainStructureError):
-    """An uncle reference violates the protocol's uncle-eligibility rules."""
-
-
 class SimulationError(ReproError, RuntimeError):
     """The discrete-event simulator reached an inconsistent internal state."""
 

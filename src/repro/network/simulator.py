@@ -83,9 +83,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..chain.arrays import make_block_tree
+from ..chain.arrays import ArrayBlockTree
 from ..chain.block import GENESIS_ID, MinerKind
-from ..chain.fork_choice import LongestChainRule
+from ..chain.fork_choice import best_tip_id
 from ..chain.rewards import ChainSettlement, settle_rewards
 from ..chain.validation import validate_tree
 from ..errors import SimulationError
@@ -213,24 +213,22 @@ class NetworkSimulator:
     ) -> None:
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
-        # Array-backed by default (REPRO_OBJECT_TREE=1 swaps in the object
-        # tree); every hot path below reads it through the id+accessor
-        # protocol shared by both trees, never through Block objects.
-        self.tree = make_block_tree(config.num_blocks + 1)
+        # Every hot path below reads the tree through its id+accessor
+        # protocol, never through Block objects.
+        self.tree = ArrayBlockTree(capacity=config.num_blocks + 1)
         self.rng = RandomSource(config.seed)
         self.queue = EventQueue()
         self._max_uncles = config.max_uncles_per_block
         self._uncle_distance = config.max_uncle_distance
         self._uncles_enabled = self._max_uncles > 0 and self._uncle_distance > 0
-        genesis_id = self.tree.genesis.block_id
         self.miners: list[_MinerState] = []
         for index, spec in enumerate(self.topology.miners):
             if spec.is_strategic:
                 state: _MinerState = _PoolState(
-                    index, spec, make_strategy(spec.strategy, config=config), genesis_id
+                    index, spec, make_strategy(spec.strategy, config=config), GENESIS_ID
                 )
             else:
-                state = _HonestState(index, spec, genesis_id)
+                state = _HonestState(index, spec, GENESIS_ID)
             self.miners.append(state)
         self._cumulative_power = np.array(
             list(accumulate(spec.hash_power for spec in self.topology.miners))
@@ -306,7 +304,7 @@ class NetworkSimulator:
                 max_uncles_per_block=self.config.max_uncles_per_block,
                 max_uncle_distance=self.config.max_uncle_distance,
             )
-        tip_id = LongestChainRule().best_tip_id(self.tree, published_only=True)
+        tip_id = best_tip_id(self.tree, published_only=True)
         return settle_rewards(
             self.tree,
             tip_id,
@@ -353,8 +351,7 @@ class NetworkSimulator:
                 # tree's own published set.  Per-miner LocalViews are
                 # synthesised from it in the epilogue.
                 miner.known = published
-        genesis_id = tree.genesis.block_id
-        sync_pref_id = genesis_id
+        sync_pref_id = GENESIS_ID
         sync_height = 0
         sync_since = 0.0
         overrides: dict[int, int] = {}

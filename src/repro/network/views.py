@@ -4,7 +4,7 @@ Every miner tracks which blocks it has seen.  The obvious representation — one
 ``set[int]`` per miner — costs O(total blocks) memory *per miner*, which is what
 the network backend pays N-fold compared to the single-view chain engine.  But
 block ids are allocated sequentially by the shared
-:class:`~repro.chain.blocktree.BlockTree`, and every miner eventually learns
+:class:`~repro.chain.arrays.ArrayBlockTree`, and every miner eventually learns
 almost every block, so a view is really "everything below a high-water mark,
 give or take a few stragglers".
 

@@ -3,10 +3,10 @@
 Two simulators are provided:
 
 * :class:`~repro.simulation.engine.ChainSimulator` — the full-fidelity simulator: it
-  materialises every block in a :class:`~repro.chain.blocktree.BlockTree`, runs the
+  records every block in a :class:`~repro.chain.arrays.ArrayBlockTree`, runs the
   selfish pool's Algorithm 1 against honest miners with ``gamma`` tie-breaking, lets
-  both sides attach uncle references under the protocol rules, and settles rewards by
-  walking the final main chain.  It shares *no* code with the analytical reward
+  both sides attach uncle references under the protocol rules, and settles rewards on
+  the final main chain.  It shares *no* code with the analytical reward
   engine, which makes the analysis-vs-simulation agreement a genuine cross-check.
 * :class:`~repro.simulation.fast.MarkovMonteCarlo` — a lightweight Monte Carlo that
   samples the Markov chain's transitions directly and accrues the per-transition

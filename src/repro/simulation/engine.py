@@ -1,6 +1,6 @@
 """The full-fidelity mining-race simulator (Section V of the paper).
 
-The simulator materialises every mined block in a :class:`~repro.chain.blocktree.BlockTree`
+The simulator records every mined block in a :class:`~repro.chain.arrays.ArrayBlockTree`
 and plays out the race between the pool and honest miners.  It is split into
 *mechanism* and *policy*:
 
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..chain.arrays import make_block_tree
-from ..chain.block import MinerKind
-from ..chain.fork_choice import LongestChainRule
+from ..chain.arrays import ArrayBlockTree
+from ..chain.block import GENESIS_ID, MinerKind
+from ..chain.fork_choice import best_tip_id
 from ..chain.rewards import ChainSettlement, settle_rewards
 from ..chain.validation import validate_tree
 from ..errors import SimulationError
@@ -119,12 +119,11 @@ class ChainSimulator:
     def __init__(self, config: SimulationConfig, *, strategy: MiningStrategy | None = None) -> None:
         self.config = config
         self.strategy = strategy if strategy is not None else config.make_strategy()
-        # Array-backed by default (REPRO_OBJECT_TREE=1 swaps in the object
-        # tree); one mining event adds at most one block, so the event budget
-        # is the exact capacity hint.
-        self.tree = make_block_tree(config.num_blocks + 1)
+        # One mining event adds at most one block, so the event budget is the
+        # exact capacity hint.
+        self.tree = ArrayBlockTree(capacity=config.num_blocks + 1)
         self.rng = RandomSource(config.seed)
-        self.race = RaceState(root_id=self.tree.genesis.block_id)
+        self.race = RaceState(root_id=GENESIS_ID)
         self._events_run = 0
         # Per-event constants, hoisted off the config for the hot loop.
         self._alpha = config.params.alpha
@@ -152,7 +151,7 @@ class ChainSimulator:
         select_uncles = tree.select_uncles
         add_block_id = tree.add_block_id
         publish = tree.publish
-        published_ids = tree.published_ids  # live membership set on both trees
+        published_ids = tree.published_ids  # live membership set
         after_pool_block = self.strategy.after_pool_block
         after_honest_block = self.strategy.after_honest_block
         alpha = self._alpha
@@ -342,7 +341,7 @@ class ChainSimulator:
                 max_uncles_per_block=self.config.max_uncles_per_block,
                 max_uncle_distance=self.config.max_uncle_distance,
             )
-        tip_id = LongestChainRule().best_tip_id(self.tree, published_only=True)
+        tip_id = best_tip_id(self.tree, published_only=True)
         return settle_rewards(
             self.tree,
             tip_id,

@@ -17,14 +17,13 @@ and the stationary solver rather than the reward analysis itself.  The test-suit
 all three pairings (analysis vs chain simulator, analysis vs Monte Carlo, Monte Carlo
 vs chain simulator) to localise any disagreement.
 
-Accumulation backends: by default the run is executed on
+Accumulation: the run is executed on
 :class:`~repro.simulation.tables.CompiledTransitionTables` — the walk only counts
 integer transition visits against pre-compiled cumulative thresholds and all reward
-totals are settled at the end as one ``counts @ reward_matrix`` product.  Construct
-with ``accumulate="scalar"`` to run the original one-record-per-event loop instead;
-both modes sample the identical transition sequence from a given seed and agree on
-every total to float-reassociation accuracy (pinned by regression tests), so the
-scalar path remains available as an independent cross-check.
+totals are settled at the end as one ``counts @ reward_matrix`` product.  The test
+suite keeps a per-event scalar loop as an oracle: from a given seed it samples the
+identical transition sequence and agrees on every total to float-reassociation
+accuracy.
 
 Strategy support: the backend honours ``SimulationConfig.strategy`` for the
 behaviours that have an analytical transition model — ``"selfish"`` (the paper's
@@ -40,10 +39,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from ..analysis.reward_cases import transition_rewards
 from ..errors import SimulationError
 from ..markov.state import State
-from ..markov.transitions import SelfishTransition, transitions_from_state
+from ..markov.transitions import transitions_from_state
 from ..rewards.breakdown import PartyRewards
 from .config import SimulationConfig
 from .metrics import SimulationResult
@@ -52,9 +50,6 @@ from .tables import CompiledTransitionTables
 
 #: Strategy names the Markov backend can simulate.
 MARKOV_STRATEGIES = ("honest", "selfish", "optimal")
-
-#: Accumulation backends of the selfish-strategy run.
-ACCUMULATE_MODES = ("table", "scalar")
 
 #: Effective truncation used when enumerating transitions on the fly.  The sampled
 #: lead can never realistically approach this for ``alpha < 0.5``.
@@ -71,12 +66,9 @@ class MarkovMonteCarlo:
     ----------
     config:
         The run configuration (strategy must be one of :data:`MARKOV_STRATEGIES`).
-    accumulate:
-        ``"table"`` (default) settles rewards through compiled transition tables;
-        ``"scalar"`` accumulates per event as the original implementation did.
     """
 
-    def __init__(self, config: SimulationConfig, *, accumulate: str = "table") -> None:
+    def __init__(self, config: SimulationConfig) -> None:
         self.config = config
         if config.strategy_name not in MARKOV_STRATEGIES:
             raise SimulationError(
@@ -84,11 +76,6 @@ class MarkovMonteCarlo:
                 f"{config.strategy_name!r} (supported: {', '.join(MARKOV_STRATEGIES)}); "
                 "use backend='chain'"
             )
-        if accumulate not in ACCUMULATE_MODES:
-            raise SimulationError(
-                f"unknown accumulate mode {accumulate!r}; expected one of {ACCUMULATE_MODES}"
-            )
-        self.accumulate = accumulate
         self.rng = RandomSource(config.seed)
         self.state = State(0, 0)
         self._events_run = 0
@@ -100,43 +87,22 @@ class MarkovMonteCarlo:
             from ..mdp.solver import solve_optimal_policy
 
             policy = solve_optimal_policy(config.params, config.schedule)
-            self._transition_fn = partial(
+            transitions = partial(
                 policy_transitions_from_state,
                 params=config.params,
                 override_codes=frozenset(policy.override_codes),
                 max_lead=UNBOUNDED_LEAD,
             )
         else:
-            self._transition_fn = partial(
+            transitions = partial(
                 transitions_from_state, params=config.params, max_lead=UNBOUNDED_LEAD
             )
         self.tables = CompiledTransitionTables(
             config.params,
             config.schedule,
             max_lead=UNBOUNDED_LEAD,
-            transitions=self._transition_fn,
+            transitions=transitions,
         )
-        # Transition enumerations are memoised per state for the scalar path: for a
-        # long run only a few hundred distinct states are ever visited.
-        self._transition_cache: dict[State, list[SelfishTransition]] = {}
-
-    # ------------------------------------------------------------------ internals
-    def _transitions(self, state: State) -> list[SelfishTransition]:
-        cached = self._transition_cache.get(state)
-        if cached is None:
-            cached = list(self._transition_fn(state))
-            self._transition_cache[state] = cached
-        return cached
-
-    def _sample_transition(self, state: State) -> SelfishTransition:
-        transitions = self._transitions(state)
-        draw = self.rng.uniform()
-        cumulative = 0.0
-        for transition in transitions:
-            cumulative += transition.rate
-            if draw < cumulative:
-                return transition
-        return transitions[-1]
 
     # ------------------------------------------------------------------ public API
     def run(self, *, trace: list[int] | None = None) -> SimulationResult:
@@ -145,12 +111,10 @@ class MarkovMonteCarlo:
         ``trace``, when given, receives the encoded target state
         (:meth:`~repro.markov.state.State.encode`) of every selfish-strategy step;
         the regression tests use it to pin the table walk's sampled sequence
-        against the scalar path.
+        against their scalar oracle.
         """
         if self.config.strategy_name == "honest":
             return self._run_honest()
-        if self.accumulate == "scalar":
-            return self._run_selfish_scalar(trace)
         return self._run_selfish_table(trace)
 
     def _run_selfish_table(self, trace: list[int] | None) -> SimulationResult:
@@ -178,101 +142,25 @@ class MarkovMonteCarlo:
             pool_uncle_distance_counts=settlement.pool_uncle_distance_counts,
         )
 
-    def _run_selfish_scalar(self, trace: list[int] | None) -> SimulationResult:
-        """The original per-event accumulation loop (kept as a cross-check)."""
-        schedule = self.config.schedule
-        params = self.config.params
-
-        pool = PartyRewards()
-        honest = PartyRewards()
-        regular = 0.0
-        pool_regular = 0.0
-        honest_regular = 0.0
-        uncle = 0.0
-        pool_uncle = 0.0
-        honest_uncle = 0.0
-        stale = 0.0
-        # Distance histograms are accumulated into small distance-indexed arrays
-        # (grown on demand) instead of per-event dict lookups; they are converted
-        # to the result's mapping form once at settlement.
-        honest_distance: list[float] = []
-        pool_distance: list[float] = []
-
-        for _ in range(self.config.num_blocks):
-            transition = self._sample_transition(self.state)
-            record = transition_rewards(transition, params, schedule)
-            pool = pool + record.pool
-            honest = honest + record.honest
-            regular += record.regular_probability
-            pool_regular += record.regular_probability * record.pool_mined_probability
-            honest_regular += record.regular_probability * (1.0 - record.pool_mined_probability)
-            uncle += record.uncle_probability
-            stale += record.stale_probability
-            pool_mined = record.pool_mined_probability
-            pool_uncle += record.uncle_probability * pool_mined
-            honest_uncle += record.uncle_probability * (1.0 - pool_mined)
-            distance = record.uncle_distance
-            if distance is not None and record.uncle_probability > 0.0:
-                if pool_mined < 1.0:
-                    if len(honest_distance) <= distance:
-                        honest_distance.extend([0.0] * (distance + 1 - len(honest_distance)))
-                    honest_distance[distance] += record.uncle_probability * (1.0 - pool_mined)
-                if pool_mined > 0.0:
-                    if len(pool_distance) <= distance:
-                        pool_distance.extend([0.0] * (distance + 1 - len(pool_distance)))
-                    pool_distance[distance] += record.uncle_probability * pool_mined
-            self.state = transition.target
-            if trace is not None:
-                trace.append(self.state.encode())
-            self._events_run += 1
-
-        return SimulationResult(
-            config=self.config,
-            pool_rewards=pool,
-            honest_rewards=honest,
-            regular_blocks=regular,
-            pool_regular_blocks=pool_regular,
-            honest_regular_blocks=honest_regular,
-            uncle_blocks=uncle,
-            pool_uncle_blocks=pool_uncle,
-            honest_uncle_blocks=honest_uncle,
-            stale_blocks=stale,
-            total_blocks=float(self.config.num_blocks),
-            num_events=self._events_run,
-            honest_uncle_distance_counts={
-                distance: count for distance, count in enumerate(honest_distance) if count > 0.0
-            },
-            pool_uncle_distance_counts={
-                distance: count for distance, count in enumerate(pool_distance) if count > 0.0
-            },
-        )
-
     def _run_honest(self) -> SimulationResult:
         """Honest-pool run: a fork-free chain where every block earns ``Ks``.
 
         With everyone following the protocol there is a single state and a single
         transition; the only randomness left is which party mines each block, which
         is sampled so the backend remains a Monte Carlo (with the same seed
-        semantics as the chain simulator's honest runs).  The table mode consumes
-        the identical uniform stream in vectorised chunks; the scalar mode draws
-        one decision at a time.
+        semantics as the chain simulator's honest runs): one uniform draw per
+        block, consumed in vectorised chunks.
         """
         static = self.config.schedule.static_reward
         alpha = self.config.params.alpha
         pool_blocks = 0
-        if self.accumulate == "scalar":
-            for _ in range(self.config.num_blocks):
-                if self.rng.pool_mines_next(alpha):
-                    pool_blocks += 1
-                self._events_run += 1
-        else:
-            remaining = self.config.num_blocks
-            while remaining > 0:
-                chunk = _HONEST_CHUNK if remaining > _HONEST_CHUNK else remaining
-                draws = self.rng.uniform_array(chunk)
-                pool_blocks += int((draws < alpha).sum())
-                remaining -= chunk
-            self._events_run += self.config.num_blocks
+        remaining = self.config.num_blocks
+        while remaining > 0:
+            chunk = _HONEST_CHUNK if remaining > _HONEST_CHUNK else remaining
+            draws = self.rng.uniform_array(chunk)
+            pool_blocks += int((draws < alpha).sum())
+            remaining -= chunk
+        self._events_run += self.config.num_blocks
         honest_blocks = self.config.num_blocks - pool_blocks
         return SimulationResult(
             config=self.config,

@@ -451,26 +451,6 @@ def simulate_strategy_sweep(
     return dict(zip(strategies, aggregates))
 
 
-def compare_backends(
-    config: SimulationConfig, *, num_runs: int = 3, max_workers: int | None = None
-) -> dict[str, AggregatedResult]:
-    """Run both simulator backends on the same configuration (used by tests/examples)."""
-    return {
-        backend: run_many(config, num_runs, backend=backend, max_workers=max_workers)
-        for backend in BACKENDS
-    }
-
-
 def honest_baseline_config(config: SimulationConfig) -> SimulationConfig:
     """A copy of ``config`` in which the pool mines honestly (baseline runs)."""
     return config.with_strategy("honest")
-
-
-def sequential_seeds(master_seed: int, count: int) -> Sequence[int]:
-    """Derive ``count`` independent seeds from a master seed (exposed for examples).
-
-    A thin alias of :func:`repro.simulation.rng.derive_seeds`, the package-wide
-    seed-derivation helper (also behind :func:`_derive_run_configs`, the scenario
-    layer's pre-derived run plans and :meth:`RandomSource.spawn`).
-    """
-    return derive_seeds(master_seed, count)

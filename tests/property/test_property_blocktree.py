@@ -2,9 +2,9 @@
 
 The strategy builds random but *protocol-consistent* trees: every generated action
 either extends a random existing block or forks off one, and uncle references are only
-attached when :func:`repro.chain.uncles.eligible_uncles` allows them — exactly how the
-simulator composes blocks.  The resulting trees must always satisfy the structural
-validator and a set of derived invariants.
+attached when :meth:`~repro.chain.arrays.ArrayBlockTree.select_uncles` allows them —
+exactly how the simulators compose blocks.  The resulting trees must always satisfy
+the structural validator and a set of derived invariants.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chain.arrays import ArrayBlockTree
 from repro.chain.block import GENESIS_ID, MinerKind
-from repro.chain.blocktree import BlockTree
-from repro.chain.fork_choice import LongestChainRule
+from repro.chain.fork_choice import best_tip_id
 from repro.chain.rewards import settle_rewards
-from repro.chain.uncles import eligible_uncles
 from repro.chain.validation import validate_tree
 from repro.rewards.schedule import EthereumByzantiumSchedule
 
@@ -31,24 +30,24 @@ actions = st.lists(
 )
 
 
-def build_tree(action_list) -> BlockTree:
-    tree = BlockTree()
+def build_tree(action_list) -> ArrayBlockTree:
+    tree = ArrayBlockTree()
     for step, (parent_choice, is_pool, reference) in enumerate(action_list):
-        blocks = tree.blocks()
-        parent = blocks[parent_choice % len(blocks)]
+        parent_id = parent_choice % len(tree)
         uncle_ids: list[int] = []
         if reference:
-            window = tree.blocks_in_height_range(parent.height - 5, parent.height)
-            uncle_ids = [
-                block.block_id for block in eligible_uncles(tree, parent.block_id, window)[:2]
-            ]
-        tree.add_block(
-            parent.block_id,
+            uncle_ids = tree.select_uncles(parent_id, max_distance=6, max_count=2)
+        tree.add_block_id(
+            parent_id,
             MinerKind.POOL if is_pool else MinerKind.HONEST,
             created_at=step,
             uncle_ids=uncle_ids,
         )
     return tree
+
+
+def best_tip(tree: ArrayBlockTree) -> int:
+    return best_tip_id(tree, published_only=True)
 
 
 class TestTreeInvariants:
@@ -62,31 +61,29 @@ class TestTreeInvariants:
     @given(action_list=actions)
     def test_heights_equal_path_lengths(self, action_list):
         tree = build_tree(action_list)
-        for block in tree.blocks():
-            assert block.height == len(tree.chain_to(block.block_id)) - 1
+        for block_id in range(len(tree)):
+            assert tree.height_of(block_id) == len(tree.main_chain_ids(block_id)) - 1
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_every_non_genesis_block_descends_from_genesis(self, action_list):
         tree = build_tree(action_list)
-        for block in tree.blocks():
-            if not block.is_genesis:
-                assert tree.is_ancestor(GENESIS_ID, block.block_id)
+        for block_id in range(1, len(tree)):
+            assert tree.main_chain_ids(block_id)[0] == GENESIS_ID
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_best_tip_has_maximum_height(self, action_list):
         tree = build_tree(action_list)
-        tip = LongestChainRule().best_tip(tree)
-        assert tip.height == tree.max_height()
+        assert tree.height_of(best_tip(tree)) == int(tree.height_column().max())
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
-    def test_children_and_parents_are_mutually_consistent(self, action_list):
+    def test_chain_paths_follow_parent_pointers(self, action_list):
         tree = build_tree(action_list)
-        for block in tree.blocks():
-            for child in tree.children(block.block_id):
-                assert child.parent_id == block.block_id
+        for block_id in range(len(tree)):
+            path = tree.main_chain_ids(block_id)
+            assert [tree.parent_id_of(child) for child in path[1:]] == path[:-1]
 
 
 class TestSettlementInvariants:
@@ -94,16 +91,14 @@ class TestSettlementInvariants:
     @given(action_list=actions)
     def test_every_block_is_classified_exactly_once(self, action_list):
         tree = build_tree(action_list)
-        tip = LongestChainRule().best_tip(tree)
-        settlement = settle_rewards(tree, tip.block_id, SCHEDULE)
+        settlement = settle_rewards(tree, best_tip(tree), SCHEDULE)
         assert settlement.blocks_accounted() == settlement.total_blocks == len(tree) - 1
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_static_rewards_equal_main_chain_length(self, action_list):
         tree = build_tree(action_list)
-        tip = LongestChainRule().best_tip(tree)
-        settlement = settle_rewards(tree, tip.block_id, SCHEDULE)
+        settlement = settle_rewards(tree, best_tip(tree), SCHEDULE)
         assert settlement.split.total_static == pytest.approx(float(settlement.regular_blocks))
 
     @settings(max_examples=60, deadline=None)
@@ -112,15 +107,13 @@ class TestSettlementInvariants:
         # Every block can earn at most one static reward, one uncle reward (< 1) and
         # two nephew rewards (2/32), so the grand total is below 2x the block count.
         tree = build_tree(action_list)
-        tip = LongestChainRule().best_tip(tree)
-        settlement = settle_rewards(tree, tip.block_id, SCHEDULE)
+        settlement = settle_rewards(tree, best_tip(tree), SCHEDULE)
         assert settlement.split.total <= 2.0 * settlement.total_blocks
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_uncle_counts_match_distance_histograms(self, action_list):
         tree = build_tree(action_list)
-        tip = LongestChainRule().best_tip(tree)
-        settlement = settle_rewards(tree, tip.block_id, SCHEDULE)
+        settlement = settle_rewards(tree, best_tip(tree), SCHEDULE)
         assert sum(settlement.honest_uncle_distance_counts.values()) == settlement.honest_uncle_blocks
         assert sum(settlement.pool_uncle_distance_counts.values()) == settlement.pool_uncle_blocks

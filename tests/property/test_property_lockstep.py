@@ -1,12 +1,13 @@
-"""Lockstep property suite: ``ArrayBlockTree`` vs the object ``BlockTree``.
+"""Lockstep property suite: ``ArrayBlockTree`` vs the reference tree of the test suite.
 
 Both trees receive byte-identical random add/publish sequences and must stay
-indistinguishable through every read API the simulators rely on — the block
-records themselves, uncle candidate selection (with and without a local-view
-filter), fork points, structural validation and reward settlement (including
-warm-up masking and the zero-reward edges).  Ids are allocated sequentially by
-both implementations, so the same action script addresses the same blocks on
-each side.
+indistinguishable through every read the simulators rely on — the block records
+themselves, uncle selection (with and without a local-view filter), fork points,
+tips and reward settlement (including warm-up masking and the zero-reward
+edges).  The reference tree (``tests/reference_chain.py``) applies the protocol
+rules literally, so any drift in the array tree's indexes or vectorised passes
+shows up here.  Ids are allocated sequentially by both, so the same action script
+addresses the same blocks on each side.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_chain import ReferenceTree, settle_walk
 from repro.chain.arrays import ArrayBlockTree
 from repro.chain.block import GENESIS_ID, MinerKind
-from repro.chain.blocktree import BlockTree
-from repro.chain.fork_choice import LongestChainRule
+from repro.chain.fork_choice import best_tip_id
 from repro.chain.rewards import settle_rewards
 from repro.chain.validation import validate_tree
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
@@ -40,27 +41,27 @@ actions = st.lists(
 )
 
 
-def build_pair(action_list) -> tuple[ArrayBlockTree, BlockTree]:
+def build_pair(action_list) -> tuple[ArrayBlockTree, ReferenceTree]:
     """Grow both trees through the same action script, asserting as we go."""
     # A tiny initial capacity forces several geometric growths per run.
     array_tree = ArrayBlockTree(capacity=2)
-    object_tree = BlockTree()
-    for step, (is_publish, choice, miner_sel, reference, published) in enumerate(action_list):
-        size = len(object_tree)
+    reference = ReferenceTree()
+    for step, (is_publish, choice, miner_sel, reference_uncles, published) in enumerate(
+        action_list
+    ):
+        size = len(reference)
         if is_publish and size > 1:
             block_id = choice % size
             array_tree.publish(block_id)
-            object_tree.publish(block_id)
+            reference.publish(block_id)
             continue
         parent_id = choice % size
         kind = MinerKind.POOL if miner_sel % 2 else MinerKind.HONEST
         miner_index = miner_sel // 2
         uncle_ids: list[int] = []
-        if reference:
+        if reference_uncles:
             uncle_ids = array_tree.select_uncles(parent_id, max_distance=6, max_count=2)
-            assert uncle_ids == object_tree.select_uncles(
-                parent_id, max_distance=6, max_count=2
-            )
+            assert uncle_ids == reference.select_uncles(parent_id, max_distance=6, max_count=2)
         array_id = array_tree.add_block_id(
             parent_id,
             kind,
@@ -69,102 +70,102 @@ def build_pair(action_list) -> tuple[ArrayBlockTree, BlockTree]:
             uncle_ids=uncle_ids,
             published=published,
         )
-        object_id = object_tree.add_block(
+        reference_id = reference.add_block(
             parent_id,
             kind,
             miner_index=miner_index,
             created_at=step,
             uncle_ids=uncle_ids,
             published=published,
-        ).block_id
-        assert array_id == object_id
-    return array_tree, object_tree
+        )
+        assert array_id == reference_id
+    return array_tree, reference
 
 
 class TestLockstepStructure:
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_blocks_and_publication_identical(self, action_list):
-        array_tree, object_tree = build_pair(action_list)
-        assert len(array_tree) == len(object_tree)
-        assert array_tree.blocks() == object_tree.blocks()
-        assert array_tree.published_ids == object_tree.published_ids
-        assert array_tree.unpublished_ids() == object_tree.unpublished_ids()
-        for block in object_tree.blocks():
-            assert array_tree.block(block.block_id) == block
-            assert array_tree.children(block.block_id) == object_tree.children(block.block_id)
+        array_tree, reference = build_pair(action_list)
+        assert len(array_tree) == len(reference)
+        assert [array_tree.block(bid) for bid in range(len(array_tree))] == list(
+            reference.blocks.values()
+        )
+        assert array_tree.published_ids == reference.published_ids
+        assert array_tree.unpublished_ids() == reference.unpublished_ids()
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
-    def test_both_trees_validate_and_agree_on_tips(self, action_list):
-        array_tree, object_tree = build_pair(action_list)
-        validate_tree(array_tree)  # vectorised fast path
-        validate_tree(object_tree)  # object re-walk
-        assert array_tree.tips() == object_tree.tips()
-        assert array_tree.tips(published_only=True) == object_tree.tips(published_only=True)
-        assert array_tree.max_height() == object_tree.max_height()
-        rule = LongestChainRule()
-        assert rule.best_tip(array_tree) == rule.best_tip(object_tree)
+    def test_tree_validates_and_agrees_on_tips(self, action_list):
+        array_tree, reference = build_pair(action_list)
+        validate_tree(array_tree)
+        assert array_tree.tip_ids() == reference.tip_ids()
+        assert array_tree.tip_ids(published_only=True) == reference.tip_ids(published_only=True)
+        for published_only in (False, True):
+            assert best_tip_id(array_tree, published_only=published_only) == (
+                reference.best_tip_id(published_only=published_only)
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_fork_points_identical_for_every_pair_of_tips(self, action_list):
-        array_tree, object_tree = build_pair(action_list)
-        tip_ids = object_tree.tip_ids()
+        array_tree, reference = build_pair(action_list)
+        tip_ids = reference.tip_ids()
         for first in tip_ids:
             for second in tip_ids:
-                assert array_tree.fork_point_id(first, second) == object_tree.fork_point_id(
+                assert array_tree.fork_point_id(first, second) == reference.fork_point_id(
                     first, second
                 )
-                assert array_tree.fork_point(first, second) == object_tree.fork_point(
-                    first, second
-                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(action_list=actions)
+    def test_main_chains_identical_for_every_block(self, action_list):
+        array_tree, reference = build_pair(action_list)
+        for block_id in range(len(reference)):
+            path = [block.block_id for block in reference.ancestors(block_id)][::-1]
+            assert array_tree.main_chain_ids(block_id) == path
 
 
 class TestLockstepUncles:
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions)
     def test_candidate_sets_identical_from_every_parent(self, action_list):
-        array_tree, object_tree = build_pair(action_list)
-        published = object_tree.published_ids
-        for block in object_tree.blocks():
-            parent = block.block_id
+        array_tree, reference = build_pair(action_list)
+        published = reference.published_ids
+        for parent in range(len(reference)):
             # Pool view (the whole tree) and an honest local view (published only).
             assert array_tree.select_uncles(
                 parent, max_distance=6, max_count=2
-            ) == object_tree.select_uncles(parent, max_distance=6, max_count=2)
+            ) == reference.select_uncles(parent, max_distance=6, max_count=2)
             assert array_tree.select_uncles(
                 parent, max_distance=6, max_count=2, known=published
-            ) == object_tree.select_uncles(parent, max_distance=6, max_count=2, known=published)
+            ) == reference.select_uncles(parent, max_distance=6, max_count=2, known=published)
 
     @settings(max_examples=60, deadline=None)
-    @given(action_list=actions)
-    def test_uncle_candidate_windows_identical(self, action_list):
-        array_tree, object_tree = build_pair(action_list)
-        top = object_tree.max_height()
-        for height in range(1, top + 2):
-            assert array_tree.uncle_candidates(
-                height - 6, height - 1, published_only=True
-            ) == object_tree.uncle_candidates(height - 6, height - 1, published_only=True)
+    @given(action_list=actions, max_distance=st.integers(1, 8), max_count=st.integers(0, 3))
+    def test_candidate_sets_identical_under_other_protocol_limits(
+        self, action_list, max_distance, max_count
+    ):
+        array_tree, reference = build_pair(action_list)
+        for parent in range(len(reference)):
+            assert array_tree.select_uncles(
+                parent, max_distance=max_distance, max_count=max_count
+            ) == reference.select_uncles(parent, max_distance=max_distance, max_count=max_count)
 
 
 class TestLockstepSettlement:
     @settings(max_examples=60, deadline=None)
     @given(action_list=actions, schedule=st.sampled_from(SCHEDULES))
     def test_settlements_bit_identical(self, action_list, schedule):
-        array_tree, object_tree = build_pair(action_list)
-        tip_id = LongestChainRule().best_tip(object_tree).block_id
-        top = object_tree.max_height()
+        array_tree, reference = build_pair(action_list)
+        tip_id = reference.best_tip_id(published_only=False)
+        top = max(block.height for block in reference.blocks.values())
         # skip=0, a mid-chain warm-up mask, and a mask past the whole tree
         # (the zero-reward edge: every settlement field must collapse to zero).
         for skip in (0, top // 2 + 1, top + 1):
-            array_settlement = settle_rewards(
+            assert settle_rewards(
                 array_tree, tip_id, schedule, skip_heights_below=skip
-            )
-            object_settlement = settle_rewards(
-                object_tree, tip_id, schedule, skip_heights_below=skip
-            )
-            assert array_settlement == object_settlement
+            ) == settle_walk(reference, tip_id, schedule, skip_heights_below=skip)
         empty = settle_rewards(array_tree, tip_id, schedule, skip_heights_below=top + 1)
         assert empty.total_blocks == 0
         assert empty.split.total == 0.0
@@ -174,9 +175,8 @@ class TestLockstepSettlement:
     @given(action_list=actions)
     def test_settlement_from_genesis_tip(self, action_list):
         # Degenerate tip: settling at genesis makes every block stale.
-        array_tree, object_tree = build_pair(action_list)
-        array_settlement = settle_rewards(array_tree, GENESIS_ID, SCHEDULES[0])
-        object_settlement = settle_rewards(object_tree, GENESIS_ID, SCHEDULES[0])
-        assert array_settlement == object_settlement
-        assert array_settlement.regular_blocks == 0
-        assert array_settlement.stale_blocks == array_settlement.total_blocks
+        array_tree, reference = build_pair(action_list)
+        settlement = settle_rewards(array_tree, GENESIS_ID, SCHEDULES[0])
+        assert settlement == settle_walk(reference, GENESIS_ID, SCHEDULES[0])
+        assert settlement.regular_blocks == 0
+        assert settlement.stale_blocks == settlement.total_blocks

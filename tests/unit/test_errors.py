@@ -17,7 +17,6 @@ class TestHierarchy:
             errors.ConvergenceError,
             errors.ChainStructureError,
             errors.UnknownBlockError,
-            errors.UncleRuleError,
             errors.SimulationError,
             errors.ExperimentError,
             errors.ExecutionError,
@@ -38,9 +37,6 @@ class TestHierarchy:
 
     def test_convergence_error_is_solver_error(self):
         assert issubclass(errors.ConvergenceError, errors.SolverError)
-
-    def test_uncle_rule_error_is_chain_structure_error(self):
-        assert issubclass(errors.UncleRuleError, errors.ChainStructureError)
 
     def test_catching_base_class_catches_subclasses(self):
         with pytest.raises(errors.ReproError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference_markov import scalar_markov_run
 from repro.analysis.absolute import Scenario
 from repro.markov.state import State
 from repro.params import MiningParams
@@ -40,31 +41,27 @@ class TestBasics:
         simulator.run()
         assert simulator._events_run == 100
 
+    def test_trace_records_one_target_state_per_event(self):
+        trace: list[int] = []
+        simulator = MarkovMonteCarlo(config(blocks=500))
+        simulator.run(trace=trace)
+        assert len(trace) == 500
+        assert trace[-1] == simulator.state.encode()
+
     def test_compiled_tables_stay_small(self):
         simulator = MarkovMonteCarlo(config(blocks=5_000))
         simulator.run()
         # Only a modest number of distinct states should ever be visited/compiled.
         assert 1 < simulator.tables.num_states < 200
 
-    def test_transition_cache_reused_by_scalar_path(self):
-        simulator = MarkovMonteCarlo(config(blocks=5_000), accumulate="scalar")
-        simulator.run()
-        # Only a modest number of distinct states should ever be visited.
-        assert 1 < len(simulator._transition_cache) < 200
 
-    def test_unknown_accumulate_mode_rejected(self):
-        from repro.errors import SimulationError
+class TestAgreesWithScalarOracle:
+    """The compiled-table walk is a drop-in replacement for the per-event loop.
 
-        with pytest.raises(SimulationError):
-            MarkovMonteCarlo(config(), accumulate="vector")
-
-
-class TestAccumulateModesAgree:
-    """PR 2 regression contract: the compiled-table walk is a drop-in replacement.
-
-    For a given seed the table mode must sample the *identical* transition sequence
-    as the scalar per-event loop, and every accumulated total must agree to float
-    reassociation accuracy (count-times-value versus repeated addition).
+    For a given seed it must sample the *identical* transition sequence as the
+    scalar oracle of ``tests/reference_markov.py``, and every accumulated total
+    must agree to float reassociation accuracy (count-times-value versus
+    repeated addition).
     """
 
     CASES = [
@@ -79,15 +76,15 @@ class TestAccumulateModesAgree:
         cfg = config(alpha=alpha, gamma=gamma, schedule=schedule, blocks=20_000, seed=seed)
         table_trace: list[int] = []
         scalar_trace: list[int] = []
-        MarkovMonteCarlo(cfg, accumulate="table").run(trace=table_trace)
-        MarkovMonteCarlo(cfg, accumulate="scalar").run(trace=scalar_trace)
+        MarkovMonteCarlo(cfg).run(trace=table_trace)
+        scalar_markov_run(cfg, trace=scalar_trace)
         assert table_trace == scalar_trace
 
     @pytest.mark.parametrize("alpha,gamma,schedule,seed", CASES)
     def test_aggregates_agree_to_reassociation_tolerance(self, alpha, gamma, schedule, seed):
         cfg = config(alpha=alpha, gamma=gamma, schedule=schedule, blocks=20_000, seed=seed)
-        table = MarkovMonteCarlo(cfg, accumulate="table").run()
-        scalar = MarkovMonteCarlo(cfg, accumulate="scalar").run()
+        table = MarkovMonteCarlo(cfg).run()
+        scalar, _ = scalar_markov_run(cfg)
         assert table.pool_rewards.isclose(scalar.pool_rewards, rel_tol=1e-9)
         assert table.honest_rewards.isclose(scalar.honest_rewards, rel_tol=1e-9)
         for name in (
@@ -110,22 +107,21 @@ class TestAccumulateModesAgree:
             for distance, value in table_counts.items():
                 assert value == pytest.approx(scalar_counts[distance], rel=1e-9, abs=1e-9)
 
-    def test_honest_strategy_modes_agree_exactly(self):
+    def test_honest_strategy_agrees_exactly(self):
         cfg = config(blocks=30_000, seed=5).with_strategy("honest")
-        table = MarkovMonteCarlo(cfg, accumulate="table").run()
-        scalar = MarkovMonteCarlo(cfg, accumulate="scalar").run()
+        table = MarkovMonteCarlo(cfg).run()
+        scalar, _ = scalar_markov_run(cfg)
         # Block attribution is integer counting over the identical draw stream.
         assert table.pool_regular_blocks == scalar.pool_regular_blocks
         assert table.pool_rewards == scalar.pool_rewards
 
-    def test_final_state_matches_scalar_path(self):
+    def test_final_state_matches_scalar_oracle(self):
         cfg = config(blocks=10_000, seed=13)
-        table_sim = MarkovMonteCarlo(cfg, accumulate="table")
-        scalar_sim = MarkovMonteCarlo(cfg, accumulate="scalar")
+        table_sim = MarkovMonteCarlo(cfg)
         table_sim.run()
-        scalar_sim.run()
-        assert table_sim.state == scalar_sim.state
-        assert table_sim._events_run == scalar_sim._events_run == 10_000
+        _, scalar_state = scalar_markov_run(cfg)
+        assert table_sim.state == scalar_state
+        assert table_sim._events_run == 10_000
 
 
 class TestStatisticalAgreement:

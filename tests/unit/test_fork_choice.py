@@ -1,114 +1,55 @@
-"""Unit tests for the fork-choice rules."""
+"""Unit tests for the longest-chain fork choice."""
 
 from __future__ import annotations
 
-import pytest
-
+from repro.chain.arrays import ArrayBlockTree
 from repro.chain.block import GENESIS_ID, MinerKind
-from repro.chain.blocktree import BlockTree
-from repro.chain.fork_choice import GhostRule, LongestChainRule
-from repro.errors import ChainStructureError
+from repro.chain.fork_choice import best_tip_id
 
 
-def linear(tree: BlockTree, parent: int, length: int, miner=MinerKind.HONEST, published=True):
-    blocks = []
+def linear(tree: ArrayBlockTree, parent: int, length: int, miner=MinerKind.HONEST, published=True):
+    block_ids = []
     for index in range(length):
-        block = tree.add_block(parent, miner, created_at=len(tree) + index, published=published)
-        blocks.append(block)
-        parent = block.block_id
-    return blocks
+        parent = tree.add_block_id(
+            parent, miner, created_at=len(tree) + index, published=published
+        )
+        block_ids.append(parent)
+    return block_ids
 
 
-class TestLongestChainRule:
+class TestLongestChain:
     def test_single_chain_tip(self):
-        tree = BlockTree()
-        blocks = linear(tree, GENESIS_ID, 3)
-        tips = LongestChainRule().best_tips(tree)
-        assert [tip.block_id for tip in tips] == [blocks[-1].block_id]
+        tree = ArrayBlockTree()
+        block_ids = linear(tree, GENESIS_ID, 3)
+        assert best_tip_id(tree, published_only=True) == block_ids[-1]
 
     def test_longer_branch_wins(self):
-        tree = BlockTree()
-        short = linear(tree, GENESIS_ID, 2)
+        tree = ArrayBlockTree()
+        linear(tree, GENESIS_ID, 2)
         long = linear(tree, GENESIS_ID, 3, MinerKind.POOL)
-        tips = LongestChainRule().best_tips(tree)
-        assert [tip.block_id for tip in tips] == [long[-1].block_id]
-        assert short[-1].block_id not in {tip.block_id for tip in tips}
+        assert best_tip_id(tree, published_only=True) == long[-1]
 
-    def test_equal_branches_both_returned(self):
-        tree = BlockTree()
-        first = linear(tree, GENESIS_ID, 2)
-        second = linear(tree, GENESIS_ID, 2, MinerKind.POOL)
-        tips = LongestChainRule().best_tips(tree)
-        assert {tip.block_id for tip in tips} == {first[-1].block_id, second[-1].block_id}
-
-    def test_best_tip_breaks_ties_by_creation_order(self):
-        tree = BlockTree()
+    def test_ties_broken_by_creation_order(self):
+        tree = ArrayBlockTree()
         first = linear(tree, GENESIS_ID, 2)
         linear(tree, GENESIS_ID, 2, MinerKind.POOL)
-        assert LongestChainRule().best_tip(tree).block_id == first[-1].block_id
+        assert best_tip_id(tree, published_only=True) == first[-1]
+
+    def test_equal_creation_ties_broken_by_lowest_id(self):
+        tree = ArrayBlockTree()
+        late = tree.add_block_id(GENESIS_ID, MinerKind.HONEST, created_at=9)
+        first = tree.add_block_id(GENESIS_ID, MinerKind.HONEST, created_at=5)
+        second = tree.add_block_id(GENESIS_ID, MinerKind.POOL, created_at=5)
+        assert best_tip_id(tree, published_only=True) == first
+        assert first < second and late < first
 
     def test_published_only_ignores_withheld_branch(self):
-        tree = BlockTree()
+        tree = ArrayBlockTree()
         public = linear(tree, GENESIS_ID, 2)
-        linear(tree, GENESIS_ID, 4, MinerKind.POOL, published=False)
-        tips = LongestChainRule().best_tips(tree, published_only=True)
-        assert [tip.block_id for tip in tips] == [public[-1].block_id]
+        withheld = linear(tree, GENESIS_ID, 4, MinerKind.POOL, published=False)
+        assert best_tip_id(tree, published_only=True) == public[-1]
+        assert best_tip_id(tree, published_only=False) == withheld[-1]
 
     def test_genesis_only_tree(self):
-        tree = BlockTree()
-        assert LongestChainRule().best_tip(tree).block_id == GENESIS_ID
-
-
-class TestGhostRule:
-    def test_agrees_with_longest_chain_on_a_single_chain(self):
-        tree = BlockTree()
-        blocks = linear(tree, GENESIS_ID, 4)
-        assert GhostRule().best_tip(tree).block_id == blocks[-1].block_id
-
-    def test_prefers_heavier_subtree_even_if_shorter(self):
-        # A bushy subtree with more total blocks but a shorter main branch beats a
-        # longer but thinner competitor under GHOST, while longest-chain disagrees.
-        tree = BlockTree()
-        thin = linear(tree, GENESIS_ID, 4)
-        bushy_root = tree.add_block(GENESIS_ID, MinerKind.POOL)
-        for _ in range(2):
-            tree.add_block(bushy_root.block_id, MinerKind.POOL)
-        heavy_child = tree.add_block(bushy_root.block_id, MinerKind.POOL)
-        tree.add_block(heavy_child.block_id, MinerKind.POOL)
-
-        ghost_tip = GhostRule().best_tip(tree)
-        longest_tip = LongestChainRule().best_tip(tree)
-        assert tree.is_ancestor(bushy_root.block_id, ghost_tip.block_id) or ghost_tip.block_id == bushy_root.block_id
-        assert longest_tip.block_id == thin[-1].block_id
-
-    def test_published_only_filter(self):
-        tree = BlockTree()
-        public = linear(tree, GENESIS_ID, 2)
-        linear(tree, GENESIS_ID, 5, MinerKind.POOL, published=False)
-        assert GhostRule().best_tip(tree, published_only=True).block_id == public[-1].block_id
-
-    def test_tie_returns_multiple_tips(self):
-        tree = BlockTree()
-        first = linear(tree, GENESIS_ID, 2)
-        second = linear(tree, GENESIS_ID, 2, MinerKind.POOL)
-        tips = {tip.block_id for tip in GhostRule().best_tips(tree)}
-        assert tips == {first[-1].block_id, second[-1].block_id}
-
-
-class TestErrorPaths:
-    def test_best_tip_with_no_visible_blocks_raises(self):
-        # An artificial rule application over an empty candidate set must raise rather
-        # than return a bogus tip; exercise it via a tree whose only block is hidden.
-        tree = BlockTree()
-        rule = LongestChainRule()
-        # The genesis block is always published, so this cannot normally happen; call
-        # the internal path directly with an impossible filter instead.
-        tips = rule.best_tips(tree, published_only=True)
-        assert tips  # genesis is always visible
-        with pytest.raises(ChainStructureError):
-            # Simulate the empty-tip condition by monkey-patching best_tips.
-            class EmptyRule(LongestChainRule):
-                def best_tips(self, tree, *, published_only=True):
-                    return []
-
-            EmptyRule().best_tip(tree)
+        tree = ArrayBlockTree()
+        assert best_tip_id(tree, published_only=True) == GENESIS_ID

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.honest import (
-    honest_absolute_revenue,
-    honest_relative_revenue,
-    honest_revenue_split,
-)
+from repro.analysis.honest import honest_absolute_revenue, honest_relative_revenue
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule
 
@@ -24,16 +20,3 @@ class TestHonestBaseline:
     def test_absolute_revenue_scales_with_static_reward(self):
         schedule = EthereumByzantiumSchedule(static_reward=3.0)
         assert honest_absolute_revenue(MiningParams(alpha=0.3, gamma=0.5), schedule) == pytest.approx(0.9)
-
-    def test_revenue_split_has_only_static_rewards(self):
-        split = honest_revenue_split(MiningParams(alpha=0.25, gamma=0.5))
-        assert split.pool.static == pytest.approx(0.25)
-        assert split.honest.static == pytest.approx(0.75)
-        assert split.total_uncle == 0.0
-        assert split.total_nephew == 0.0
-        assert split.total == pytest.approx(1.0)
-
-    def test_split_shares_sum_to_total_block_reward(self):
-        schedule = EthereumByzantiumSchedule(static_reward=2.0)
-        split = honest_revenue_split(MiningParams(alpha=0.4, gamma=0.5), schedule)
-        assert split.total == pytest.approx(2.0)

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.chain.block import MinerKind
 from repro.chain.validation import validate_tree
 from repro.network import NetworkSimulator, multi_pool_topology, single_pool_topology
 from repro.network.events import DELIVER, MINE, EventQueue
@@ -182,10 +181,11 @@ class TestNetworkBehaviour:
     def test_pool_blocks_attributed_to_pool_kind(self):
         simulator = NetworkSimulator(config(blocks=800))
         simulator.run()
+        tree = simulator.tree
         pool_blocks = [
-            block
-            for block in simulator.tree.blocks()
-            if not block.is_genesis and block.miner is MinerKind.POOL
+            tree.block(block_id)
+            for block_id in range(1, len(tree))
+            if tree.is_pool_block(block_id)
         ]
         assert pool_blocks
         assert all(block.miner_index == 0 for block in pool_blocks)

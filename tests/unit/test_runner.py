@@ -8,12 +8,10 @@ from repro.errors import SimulationError
 from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import (
-    compare_backends,
     honest_baseline_config,
     run_many,
     run_many_grid,
     run_once,
-    sequential_seeds,
     simulate_alpha_sweep,
     simulate_strategy_sweep,
 )
@@ -100,11 +98,6 @@ class TestSweepAndHelpers:
         values = sweep.pool_absolute_scenario1()
         assert values[1] > values[0]
 
-    def test_compare_backends_returns_every_backend(self):
-        small = SimulationConfig(params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=1500, seed=2)
-        results = compare_backends(small, num_runs=1)
-        assert set(results) == {"chain", "markov", "network"}
-
     def test_honest_baseline_config_switches_strategy_only(self):
         baseline = honest_baseline_config(CONFIG)
         assert baseline.selfish is None
@@ -118,9 +111,3 @@ class TestSweepAndHelpers:
         assert set(results) == {"honest", "selfish"}
         assert results["honest"].stale_fraction.mean == 0.0
         assert results["selfish"].stale_fraction.mean >= 0.0
-
-    def test_sequential_seeds_are_deterministic_and_distinct(self):
-        first = sequential_seeds(42, 4)
-        second = sequential_seeds(42, 4)
-        assert list(first) == list(second)
-        assert len(set(first)) == 4

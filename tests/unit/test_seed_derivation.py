@@ -1,8 +1,7 @@
 """Regression tests for the shared seed-derivation helper.
 
-Seed derivation used to be spelled three times — ``RandomSource.spawn``, the
-runner's ``_derive_run_configs`` and ``sequential_seeds`` — and the scenario
-layer would have added a fourth.  They all share
+Seed derivation used to be spelled several times — ``RandomSource.spawn``, the
+runner's ``_derive_run_configs`` and the scenario layer's run plans.  They all share
 :func:`repro.simulation.rng.derive_seed` now; these tests pin (a) that the
 consolidated helper still produces the historical stream (literal values
 recorded before the refactor), and (b) that every consumer agrees with it.
@@ -16,7 +15,7 @@ from repro.errors import ParameterError
 from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
 from repro.simulation.rng import RandomSource, derive_seed, derive_seed_sequence, derive_seeds
-from repro.simulation.runner import _derive_run_configs, sequential_seeds
+from repro.simulation.runner import _derive_run_configs
 
 
 class TestDeriveSeed:
@@ -47,9 +46,6 @@ class TestDeriveSeed:
 
 
 class TestConsumersShareTheHelper:
-    def test_sequential_seeds_is_an_alias(self):
-        assert list(sequential_seeds(42, 4)) == derive_seeds(42, 4)
-
     def test_runner_config_derivation_uses_the_helper(self):
         config = SimulationConfig(
             params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=100, seed=2019

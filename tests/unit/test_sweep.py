@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.absolute import Scenario
-from repro.analysis.sweep import AlphaSweep, alpha_grid, gamma_grid, sweep_alpha, sweep_gamma
+from repro.analysis.sweep import AlphaSweep, alpha_grid, sweep_alpha, sweep_gamma
 from repro.rewards.schedule import FlatUncleSchedule
 
 
@@ -21,15 +21,6 @@ class TestGrids:
     def test_alpha_grid_rejects_bad_step(self):
         with pytest.raises(ValueError):
             alpha_grid(0.0, 0.4, 0.0)
-
-    def test_gamma_grid_covers_zero_to_one(self):
-        grid = gamma_grid(0.0, 1.0, 0.25)
-        assert grid == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_gamma_grid_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            gamma_grid(0.0, 1.0, -0.5)
-
 
 class TestAlphaSweep:
     @pytest.fixture(scope="class")
