@@ -1,25 +1,21 @@
-"""Benchmarks of the result store's read tiers: loose JSON vs pack files.
+"""Benchmarks of the result store: warm batched reads and the lease write cycle.
 
-ROADMAP item 1's complaint is concrete — one JSON file per settled run means a
-warm million-cell sweep pays one ``open()`` + parse + checksum per cell.  The
-pack tier (:mod:`repro.store.packs`) batches every settled entry of a shard
-into one sqlite file, so the same warm read costs one ``SELECT`` per shard
-over a cached connection.  These benchmarks measure exactly that trade on the
-same synthetic entry set:
+Every settled run lives as one checksummed row of the cache directory's
+sqlite database (:mod:`repro.store.store`).  These benchmarks time the two
+store paths a sweep actually takes, on a synthetic entry set:
 
-* ``loose_read``: ``get_many`` over a store that was never compacted — the
-  per-file fallback path, one open per key;
-* ``pack_read``: ``get_many`` over the identical entries after ``compact()`` —
-  batched SELECTs, warm connections (a warmup round absorbs the per-pack
-  ``sqlite3.connect``);
-* ``compact``: what one compaction pass itself costs, amortised per entry.
+* ``read``: a warm ``get_many`` over every entry — one ``SELECT`` per few
+  hundred keys, a checksum and a JSON parse per row (the warm-sweep path; a
+  warmup round absorbs opening the connection);
+* ``write_cycle``: for each entry, claim its lease, check it is missing,
+  persist it and release the lease — the per-run store traffic of a cold
+  sweep, into a fresh database each round.
 
 Entry counts honour ``REPRO_BENCH_SCALE`` like the rest of the suite (10 000
-entries at full scale — the acceptance bar for the pack tier's speedup — and
-never fewer than 5 000: below that the per-shard SELECT's fixed cost is not
-amortised over enough rows for the smoke-run ratio to be meaningful).
-Throughput is reported through ``extra_info["entries"]`` as entries/s, the
-store-tier equivalent of the simulator benchmarks' blocks/s.
+entries at full scale, never fewer than 1 000 so the per-call costs dominate
+the connection set-up).  Throughput is reported through
+``extra_info["entries"]`` as entries/s, the store equivalent of the simulator
+benchmarks' blocks/s.
 """
 
 from __future__ import annotations
@@ -36,8 +32,8 @@ BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
 def scaled_entries(entries: int) -> int:
-    """``entries`` scaled by ``REPRO_BENCH_SCALE`` (at least 5000)."""
-    return max(5000, int(entries * BENCH_SCALE))
+    """``entries`` scaled by ``REPRO_BENCH_SCALE`` (at least 1000)."""
+    return max(1000, int(entries * BENCH_SCALE))
 
 
 def _bench_key(index: int) -> str:
@@ -56,65 +52,51 @@ def _bench_payload(index: int) -> dict:
     }
 
 
-def _populated_store(root: str, num_entries: int) -> tuple[ResultStore, list[str]]:
+def test_store_read_benchmark(benchmark):
+    """Warm batched read: ``get_many`` over every entry of the database."""
+    num_entries = scaled_entries(10_000)
+    benchmark.extra_info["entries"] = num_entries
+    root = tempfile.mkdtemp(prefix="bench-store-read-")
     store = ResultStore(root)
     keys = [_bench_key(index) for index in range(num_entries)]
     for index, key in enumerate(keys):
         store.put(SIMULATION_NAMESPACE, key, _bench_payload(index))
-    return store, keys
 
-
-def test_store_loose_read_benchmark(benchmark):
-    """Warm batched read over loose entries: one file open + parse per key."""
-    num_entries = scaled_entries(10_000)
-    benchmark.extra_info["entries"] = num_entries
-    root = tempfile.mkdtemp(prefix="bench-store-loose-")
-    store, keys = _populated_store(root, num_entries)
-
-    def loose_read():
+    def read():
         found = store.get_many(SIMULATION_NAMESPACE, keys)
         assert len(found) == num_entries
         return found
 
     try:
-        benchmark.pedantic(loose_read, rounds=3, iterations=1, warmup_rounds=1)
+        benchmark.pedantic(read, rounds=3, iterations=1, warmup_rounds=1)
     finally:
+        store.close()
         shutil.rmtree(root, ignore_errors=True)
 
 
-def test_store_pack_read_benchmark(benchmark):
-    """The same read after ``compact()``: one SELECT per shard, warm connections."""
+def test_store_write_cycle_benchmark(benchmark):
+    """Claim, miss-check, put and release every entry into a fresh database."""
     num_entries = scaled_entries(10_000)
     benchmark.extra_info["entries"] = num_entries
-    root = tempfile.mkdtemp(prefix="bench-store-pack-")
-    store, keys = _populated_store(root, num_entries)
-    report = store.compact()
-    assert report.packed == num_entries
+    keys = [_bench_key(index) for index in range(num_entries)]
+    payloads = [_bench_payload(index) for index in range(num_entries)]
+    roots: list[str] = []
 
-    def pack_read():
-        found = store.get_many(SIMULATION_NAMESPACE, keys)
-        assert len(found) == num_entries
-        return found
+    def fresh_store():
+        roots.append(tempfile.mkdtemp(prefix="bench-store-write-"))
+        return (ResultStore(roots[-1]),), {}
 
-    try:
-        benchmark.pedantic(pack_read, rounds=3, iterations=1, warmup_rounds=1)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-
-def test_store_compact_benchmark(benchmark):
-    """One compaction pass over the full loose entry set (single round)."""
-    num_entries = scaled_entries(10_000)
-    benchmark.extra_info["entries"] = num_entries
-    root = tempfile.mkdtemp(prefix="bench-store-compact-")
-    store, _keys = _populated_store(root, num_entries)
-
-    def compact():
-        report = store.compact()
-        assert report.packed == num_entries
-        return report
+    def write_cycle(store):
+        for key, payload in zip(keys, payloads):
+            lease = store.claim(SIMULATION_NAMESPACE, key)
+            assert lease is not None
+            assert store.get(SIMULATION_NAMESPACE, key) is None
+            store.put(SIMULATION_NAMESPACE, key, payload)
+            store.release(lease)
+        store.close()
 
     try:
-        benchmark.pedantic(compact, rounds=1, iterations=1)
+        benchmark.pedantic(write_cycle, setup=fresh_store, rounds=3, iterations=1)
     finally:
-        shutil.rmtree(root, ignore_errors=True)
+        for root in roots:
+            shutil.rmtree(root, ignore_errors=True)

@@ -15,8 +15,8 @@ The record pairs the resilient-dispatcher benchmarks with their pre-PR 7
 replicas (a bare ``ProcessPoolExecutor.map`` and a plain serial loop) into
 ``overhead_vs_pool_map`` / ``overhead_vs_serial_loop`` ratios — the
 wall-clock tax of the fault-tolerance machinery on a healthy workload.  The
-PR 9 store benchmarks measure the pack-compaction tier: the same warm batched
-read over loose JSON entries vs compacted sqlite packs.
+store benchmarks time a warm batched read and the claim -> put -> release
+write cycle of the single sqlite store.
 
 Every record is stamped with its provenance — the git commit it measured, the
 interpreter and machine it ran on, and the contents of the four component
@@ -34,9 +34,8 @@ Usage::
 ``--smoke`` shrinks the simulated block counts (via ``REPRO_BENCH_SCALE``) and runs
 single rounds so the whole suite finishes in seconds.  ``--check`` asserts that the
 network simulator's zero-latency fast path beats the general event loop on the
-same workload, that the resilient dispatcher stays near a bare pool.map, that
-the pack-file read path beats the loose-entry path by at least 3x, and — at full
-scale only — that the simulator benchmarks beat the timings recorded in
+same workload, that the resilient dispatcher stays near a bare pool.map, and —
+at full scale only — that the simulator benchmarks beat the timings recorded in
 ``BENCH_PR9.json``.
 
 Records made from a dirty working tree are marked as such and loudly warned
@@ -362,31 +361,6 @@ def check_dispatcher_overhead(records: list[dict]) -> None:
     )
 
 
-def check_pack_reads_beat_loose(records: list[dict]) -> None:
-    """Assert the pack-file read path beats the loose-entry path by >= 3x.
-
-    The acceptance bar of the PR 9 compaction tier: the same warm batched
-    ``get_many`` over compacted packs must run at least 3x the loose-entry
-    throughput (one SELECT per shard vs one file open per key).
-    """
-    by_name = {record["name"]: record for record in records}
-    loose = by_name.get("test_store_loose_read_benchmark")
-    pack = by_name.get("test_store_pack_read_benchmark")
-    if loose is None or pack is None:
-        raise SystemExit("--check needs both store read benchmarks in the selection")
-    ratio = loose["mean_s"] / pack["mean_s"]
-    if ratio < 3.0:
-        raise SystemExit(
-            "pack-file reads did not beat loose-entry reads by 3x: "
-            f"pack {pack['mean_s']:.4f}s vs loose {loose['mean_s']:.4f}s ({ratio:.2f}x)"
-        )
-    print(
-        f"check OK: pack reads {pack['mean_s']:.4f}s beat loose reads "
-        f"{loose['mean_s']:.4f}s ({ratio:.1f}x, "
-        f"{pack.get('entries_per_sec', 0):,.0f} entries/s warm)"
-    )
-
-
 def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
     """Assert the simulator benchmarks beat the recorded PR 9 era (full scale).
 
@@ -487,9 +461,8 @@ def main(argv: list[str] | None = None) -> None:
         action="store_true",
         help=(
             "assert the zero-latency fast path beats the general event loop, "
-            "the resilient dispatcher stays near a bare pool.map, pack-file "
-            "reads beat loose-entry reads by 3x, and (at full scale) the "
-            "simulators beat the timings recorded in BENCH_PR9.json"
+            "the resilient dispatcher stays near a bare pool.map, and (at full "
+            "scale) the simulators beat the timings recorded in BENCH_PR9.json"
         ),
     )
     parser.add_argument(
@@ -551,7 +524,6 @@ def main(argv: list[str] | None = None) -> None:
     if args.check:
         check_fast_path_beats_event_loop(records)
         check_dispatcher_overhead(records)
-        check_pack_reads_beat_loose(records)
         check_simulators_beat_pr9(records, scale)
 
 

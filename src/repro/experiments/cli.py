@@ -10,7 +10,6 @@ Installed as the ``repro-experiments`` console script::
     repro-experiments all --fast           # every artifact, fast settings
     repro-experiments sweep my_scenario.toml --cache-dir .repro-cache
     repro-experiments sweep my_scenario.toml --cache-dir .repro-cache --resume
-    repro-experiments store compact --cache-dir .repro-cache
     repro-experiments store stats --cache-dir .repro-cache
     repro-experiments store vacuum --cache-dir .repro-cache --namespace simulation
 
@@ -44,14 +43,11 @@ flags: ``--max-cells N`` stops after N grid cells (leaving the rest pending on
 disk), and ``--resume`` continues an interrupted sweep from an existing
 ``--cache-dir`` — only the still-missing cells execute.
 
-The ``store`` sub-command maintains a ``--cache-dir`` in place:
-``store compact`` batches the settled loose entries into per-shard sqlite pack
-files (bit-exact — warm reads return identical results, just through one
-``SELECT`` per shard instead of one file open per run), ``store stats`` prints
-per-namespace loose/packed accounting, and ``store vacuum`` sweeps debris —
-orphaned tmp files, stale claims, corrupt entries and pack rows, and loose
-duplicates of already-packed entries.  ``--namespace`` restricts any of the
-three to one namespace (``simulation`` or ``policy``).
+The ``store`` sub-command maintains a ``--cache-dir`` in place: ``store
+stats`` prints the entries per namespace and the size of the cache's one
+sqlite database, and ``store vacuum`` evicts corrupt entries and stale leases.
+``--namespace`` restricts either to one namespace (``simulation`` or
+``policy``).
 
 Purely descriptive artifacts (``table1``, ``figure6``) accept and ignore the
 worker/backend/cache flags so that scripted invocations stay uniform.
@@ -194,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "which artifact to regenerate ('all' runs every driver; 'sweep' runs "
             "a scenario file through the shared sweep engine; 'store' maintains "
-            "a --cache-dir: compact | stats | vacuum)"
+            "a --cache-dir: stats | vacuum)"
         ),
     )
     parser.add_argument(
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SCENARIO_FILE_OR_ACTION",
         help=(
             "scenario file (.json/.toml) for the 'sweep' sub-command, or the "
-            "action (compact | stats | vacuum) for the 'store' sub-command"
+            "action (stats | vacuum) for the 'store' sub-command"
         ),
     )
     parser.add_argument(
@@ -212,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help=(
-            "store only: restrict compact/stats/vacuum to one namespace "
+            "store only: restrict stats/vacuum to one namespace "
             "('simulation' or 'policy'; default: all)"
         ),
     )
@@ -422,7 +418,7 @@ def run_sweep(
 
 
 #: Actions of the ``store`` sub-command.
-STORE_ACTIONS = ("compact", "stats", "vacuum")
+STORE_ACTIONS = ("stats", "vacuum")
 
 
 def run_store(
@@ -433,11 +429,10 @@ def run_store(
 ) -> str:
     """Run one store-maintenance action against ``cache_dir`` and report it.
 
-    ``compact`` batches settled loose entries into per-shard pack files,
-    ``stats`` prints per-namespace accounting, ``vacuum`` sweeps debris (tmp
-    files, stale claims, corrupt entries and pack rows, loose duplicates of
-    packed entries).  All three require an *existing* cache directory — a typo
-    should fail loudly, not create an empty store.
+    ``stats`` prints the entries per namespace and the database size,
+    ``vacuum`` evicts corrupt entries and stale leases.  Both require an
+    *existing* cache directory — a typo should fail loudly, not create an
+    empty store.
     """
     from ..store import ResultStore
     from ..utils.tables import Table
@@ -453,39 +448,17 @@ def run_store(
             f"'store' expects an existing cache directory, {str(cache_dir)!r} is missing"
         )
     store = ResultStore(cache_dir)
-    if action == "compact":
-        report = store.compact(namespace)
-        lines = [
-            f"packed {report.packed} loose entries into {report.packs} pack file(s); "
-            f"{report.deduplicated} already packed, {report.invalid} corrupt discarded"
-        ]
-        if report.reset_packs:
-            lines.append(f"{report.reset_packs} unreadable pack file(s) rebuilt from scratch")
-        return "\n".join(lines)
     if action == "vacuum":
         report = store.vacuum(namespace)
         return (
-            f"removed {report.removed_tmp} orphaned tmp files, "
-            f"{report.removed_claims} stale claims, "
-            f"{report.removed_entries} invalid entries, "
-            f"{report.removed_pack_rows} corrupt pack rows, "
-            f"{report.removed_packs} unreadable packs, "
-            f"{report.deduplicated_entries} loose duplicates of packed entries"
+            f"removed {report.removed_entries} invalid entries, "
+            f"{report.removed_leases} stale leases"
         )
-    table = Table(
-        headers=["namespace", "loose", "packed", "packs", "loose bytes", "pack bytes"],
-        title=f"Store {cache_dir}",
-    )
-    for stats in store.stats(namespace):
-        table.add_row(
-            stats.namespace,
-            stats.loose_entries,
-            stats.packed_entries,
-            stats.pack_files,
-            stats.loose_bytes,
-            stats.pack_bytes,
-        )
-    return table.render()
+    stats = store.stats(namespace)
+    table = Table(headers=["namespace", "entries"], title=f"Store {cache_dir}")
+    for name, count in stats.entries.items():
+        table.add_row(name, count)
+    return f"{table.render()}\ndatabase {store.path}: {stats.database_bytes} bytes"
 
 
 #: Sub-commands without a simulation (or solver) stage: profiling them would

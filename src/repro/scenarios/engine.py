@@ -16,7 +16,7 @@ values and executes their combined run plans through one pipeline:
 ``max_cells`` caps how many cells (across all specs, in plan order) are
 attempted in this invocation; the rest are recorded as *skipped*.  With a
 store, cells already fully cached are settled for free (a batched
-``has_results`` check) without consuming the cap.  Together
+``contains_many`` check) without consuming the cap.  Together
 with a store this is what makes sweeps interruptible and resumable: a killed or
 capped sweep leaves its settled runs on disk, and the next invocation executes
 only what is still missing — the ``sweep`` CLI's ``--resume`` path.
@@ -263,18 +263,20 @@ def _run_scenarios(
             attempted = list(cells[: max(budget, 0)])
             budget -= len(attempted)
         else:
-            # Plan filter: one batched containment check (one pack SELECT per
-            # shard on a compacted store) decides which cells are already
-            # fully settled.  Those are free — loading them does no simulation
-            # work — so ``max_cells`` budgets *new* cells only, and every
-            # capped invocation of a resumed sweep makes max_cells cells of
-            # fresh progress instead of re-spending the cap on cached cells.
-            plan = spec.run_plan(cells)
-            present = store.has_results([(run.config, run.backend) for run in plan])
+            # Plan filter: one batched containment check (one SELECT per few
+            # hundred runs) decides which cells are already fully settled.
+            # Those are free — loading them does no simulation work — so
+            # ``max_cells`` budgets *new* cells only, and every capped
+            # invocation of a resumed sweep makes max_cells cells of fresh
+            # progress instead of re-spending the cap on cached cells.
+            from ..store import SIMULATION_NAMESPACE
+
+            keys = [store.result_key(run.config, run.backend) for run in spec.run_plan(cells)]
+            present = store.contains_many(SIMULATION_NAMESPACE, keys)
             attempted = []
             for position, cell in enumerate(cells):
-                runs = present[position * spec.num_runs : (position + 1) * spec.num_runs]
-                if all(runs):
+                runs = keys[position * spec.num_runs : (position + 1) * spec.num_runs]
+                if all(key in present for key in runs):
                     attempted.append(cell)
                 elif budget > 0:
                     attempted.append(cell)

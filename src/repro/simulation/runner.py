@@ -106,13 +106,13 @@ class RunFailure:
         return self.failure.exhausted_error()
 
 
-def _maybe_corrupt_store_entry(path, index: int) -> None:
+def _maybe_corrupt_store_entry(store: "ResultStore", key: str, index: int) -> None:
     """Fault-injection hook for the chaos tests (no-op unless a plan is set)."""
     if not os.environ.get(FAULTS_ENV):
         return
     from ..testing.faults import corrupt_after_write
 
-    corrupt_after_write(path, index)
+    corrupt_after_write(store, key, index)
 
 
 def execute_runs(
@@ -162,10 +162,13 @@ def execute_runs(
     results: list[SimulationResult | RunFailure | None] = [None] * len(tasks)
     missing: list[int] = []
     if store is not None:
-        # One batched read answers the whole up-front check — a warm sweep
-        # over a compacted store costs one pack SELECT per shard instead of
-        # one file open per run.
-        for index, cached in enumerate(store.load_many(tasks)):
+        from ..store import SIMULATION_NAMESPACE
+
+        # Fingerprint every run once: every store call below is keyed, and one
+        # batched read answers the whole up-front check.
+        keys = [store.result_key(config, backend) for config, backend in tasks]
+        configs = [config for config, _backend in tasks]
+        for index, cached in enumerate(store.load_results(keys, configs)):
             if cached is None:
                 missing.append(index)
             else:
@@ -177,13 +180,16 @@ def execute_runs(
     failures: dict[int, TaskFailure] = {}
     leases: dict[int, "Lease"] = {}
 
+    def load(index: int) -> SimulationResult | None:
+        return store.load_results([keys[index]], [configs[index]])[0]
+
     def try_claim(index: int) -> bool:
-        lease = store.claim_result(*tasks[index])
+        lease = store.claim(SIMULATION_NAMESPACE, keys[index])
         if lease is None:
             return False  # a concurrent process owns this run; wait for it
         # The run may have settled between the up-front cache check and the
         # claim (the holder writes before releasing): use it, don't recompute.
-        cached = store.load_result(*tasks[index])
+        cached = load(index)
         if cached is not None:
             results[index] = cached
             store.release(lease)
@@ -195,8 +201,8 @@ def execute_runs(
         results[index] = result
         executed.append(index)
         if store is not None:
-            path = store.save_result(result, tasks[index][1])
-            _maybe_corrupt_store_entry(path, index)
+            store.save_result(keys[index], result)
+            _maybe_corrupt_store_entry(store, keys[index], index)
             lease = leases.pop(index, None)
             if lease is not None:
                 store.release(lease)
@@ -231,33 +237,20 @@ def execute_runs(
     while deferred:
         progressed = False
         for index in list(deferred):
-            cached = store.load_result(*tasks[index])
-            if cached is not None:
-                results[index] = cached
-                deferred.remove(index)
-                progressed = True
-                continue
-            lease = store.claim_result(*tasks[index])
-            if lease is None:
-                continue
-            cached = store.load_result(*tasks[index])
-            if cached is not None:
-                results[index] = cached
-                store.release(lease)
-                deferred.remove(index)
-                progressed = True
-                continue
-            leases[index] = lease
-            outcome = resilient_map(
-                _run_task,
-                [tasks[index]],
-                max_workers=1,
-                policy=policy,
-                task_ids=[index],
-                on_settled=settle,
-            )[0]
-            if isinstance(outcome, TaskFailure):
-                record_failure(index, outcome)
+            results[index] = load(index)
+            if results[index] is None and try_claim(index):
+                outcome = resilient_map(
+                    _run_task,
+                    [tasks[index]],
+                    max_workers=1,
+                    policy=policy,
+                    task_ids=[index],
+                    on_settled=settle,
+                )[0]
+                if isinstance(outcome, TaskFailure):
+                    record_failure(index, outcome)
+            elif results[index] is None:
+                continue  # still held by a live process
             deferred.remove(index)
             progressed = True
         if deferred and not progressed:

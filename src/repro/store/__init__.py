@@ -14,19 +14,16 @@ store:
 * **solved MDP policies** share the same store under their own namespace
   (:func:`repro.mdp.solver.solve_optimal_policy` with a configured store), so
   the optimal strategy's per-point solve survives process restarts;
-* entries are checksummed and written atomically; corruption of any kind reads
-  as a cache miss and falls back to recomputation (:mod:`repro.store.store`);
-* settled entries **compact into per-shard sqlite pack files**
-  (:mod:`repro.store.packs`): reads consult the pack first and fall back to
-  loose JSON, and the batched lookups (``load_many`` / ``contains_many``)
-  answer warm million-cell sweeps with one ``SELECT`` per shard instead of one
-  ``open()`` per run — same checksums, same corruption-degrades-to-recompute
-  contract;
-* several **processes** may share one root: the claim/lease protocol
-  (:meth:`ResultStore.claim` / :meth:`ResultStore.release`) stops two sweeps
-  pointed at the same ``--cache-dir`` from duplicating work, and
-  :meth:`ResultStore.vacuum` sweeps the ``.tmp`` files, stale claims and
-  invalid entries a hard-killed writer leaves behind.
+* every entry is a row of one WAL-mode sqlite database per cache directory
+  (``<cache-dir>/store.sqlite``), checksummed on every read; corruption of any
+  kind reads as a cache miss and falls back to recomputation, and the batched
+  lookups (``get_many`` / ``contains_many``) answer a warm sweep with one
+  ``SELECT`` per few hundred keys (:mod:`repro.store.store`);
+* several **processes on one host** may share a root: the lease protocol
+  (``claim`` / ``release``, leases are rows of the same database) stops two
+  sweeps pointed at the same ``--cache-dir`` from duplicating work,
+  and :meth:`ResultStore.vacuum` evicts the corrupt rows and stale leases a
+  hard-killed writer leaves behind.
 
 Results round-trip **bit-exactly** (:mod:`repro.store.serialize`): a warm-cache
 experiment reports the identical numbers, down to the last float bit, as a cold
@@ -40,26 +37,23 @@ from .fingerprint import (
     fingerprint_payload,
     hash_payload,
 )
-from .packs import PACK_FILENAME, CompactReport, NamespaceStats, PackStore
 from .serialize import result_from_payload, result_payload
 from .store import (
     POLICY_NAMESPACE,
     SIMULATION_NAMESPACE,
     Lease,
     ResultStore,
+    StoreStats,
     VacuumReport,
 )
 
 __all__ = [
-    "PACK_FILENAME",
     "POLICY_NAMESPACE",
     "SIMULATION_NAMESPACE",
     "STORE_VERSION",
-    "CompactReport",
     "Lease",
-    "NamespaceStats",
-    "PackStore",
     "ResultStore",
+    "StoreStats",
     "VacuumReport",
     "canonical_json",
     "config_fingerprint",

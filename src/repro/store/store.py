@@ -1,69 +1,55 @@
-"""The on-disk result store: content-addressed, resumable, corruption-safe.
+"""The on-disk result store: one WAL-mode sqlite database per cache directory.
 
-:class:`ResultStore` is a flat content-addressed cache under one root
-directory.  Entries live in per-namespace subdirectories (``simulation/`` for
-settled runs, ``policy/`` for solved MDP policies), sharded by the first two
-hex digits of their key so that very large sweeps do not melt a single
-directory::
+:class:`ResultStore` is a content-addressed cache under one root directory.
+Every entry is a row of the ``entries`` table in ``<root>/store.sqlite``,
+keyed by ``(namespace, key)`` — ``simulation`` for settled runs, ``policy``
+for solved MDP policies.  A row holds the payload's canonical JSON text and
+that text's SHA-256, and every read re-hashes the text: a checksum mismatch
+reads as a cache miss and falls back to recomputation (the property suite pins
+this), as does a simulation payload from an incompatible schema.  A database
+file that is not sqlite at all is moved aside to ``store.sqlite.corrupt-<pid>``
+when the store opens it, so every key it held reads as a miss.
 
-    <root>/simulation/ab/abcdef....json
-    <root>/policy/12/123456....json
+The database runs in WAL mode with ``synchronous=NORMAL``: readers never block
+the writer, and a crash can lose the last few commits but never leaves a
+half-written row.  Results are persisted by the parent process as they settle
+(:mod:`repro.simulation.runner`), and several **processes on one host** may
+share one root concurrently (two sweeps pointed at the same ``--cache-dir``):
 
-Each file wraps its payload in an envelope carrying the key and a SHA-256
-checksum of the payload's canonical JSON.  :meth:`ResultStore.get` treats
-*anything* unexpected — unreadable file, invalid JSON, missing envelope
-fields, key or checksum mismatch — as a cache miss, so a corrupted or
-truncated entry silently falls back to recomputation (the property suite pins
-this).  Writes go through a same-directory temporary file followed by
-:func:`os.replace`, so a crash mid-write can never leave a half-written file
-under a valid key.
+* writes are idempotent (the same key always re-derives the same bits), so
+  concurrent writers can never corrupt each other — the worst case is
+  duplicated work;
+* duplicated work itself is prevented by **leases**, rows of the ``leases``
+  table holding the holder's token, pid, host and expiry.  A claim is an
+  ``INSERT OR IGNORE``; a live lease makes other processes wait for the result
+  instead of recomputing it.  A lease is *stale* once it expires, or as soon
+  as its holder is a dead process on this host, so a hard-killed writer blocks
+  nobody beyond its lease TTL.  A steal is an ``UPDATE`` conditioned on the
+  stale token, so of two simultaneous stealers exactly one wins, and a release
+  deletes the row only while it still carries the releaser's token;
+* :meth:`ResultStore.vacuum` evicts checksum-failing rows and stale leases.
 
-The store is deliberately *not* consulted inside process-pool workers: the
-runner checks it up front in the parent, dispatches only the missing runs, and
-persists the fresh results as they come back.  What *is* supported is several
-**processes** sharing one root concurrently (two sweeps pointed at the same
-``--cache-dir``):
-
-* writes are atomic and idempotent (the same key always re-derives the same
-  bits), so concurrent writers can never corrupt each other — the worst case
-  is duplicated work;
-* duplicated work itself is prevented by the **lease protocol**: before
-  computing a missing entry a process takes a claim file
-  (``<key>.claim`` next to the entry, holding pid + host + expiry).  A live
-  claim makes other processes wait for the result instead of recomputing it.
-  A claim is *stale* — and may be stolen — once it expires, or as soon as its
-  holder process is dead (same-host pid probe), so a hard-killed writer blocks
-  nobody beyond its lease TTL.  Stealing uses write-then-read-back token
-  verification, so two stealers cannot both believe they won;
-* :meth:`ResultStore.vacuum` sweeps the debris hard-killed writers leave
-  behind: orphaned ``.tmp`` files, stale claims, and invalid (truncated,
-  corrupted) entries.
-
-Underneath the loose one-JSON-per-entry layout sits the **pack tier**
-(:mod:`repro.store.packs`): :meth:`ResultStore.compact` batches settled
-entries into one sqlite pack file per shard, reads consult the pack first and
-fall back to loose JSON, and the batched lookups (:meth:`ResultStore.get_many`
-/ :meth:`ResultStore.load_many` / :meth:`ResultStore.contains_many`) answer a
-warm sweep with one ``SELECT`` per shard instead of one ``open()`` per run.
-Compaction changes nothing observable except speed: the pack rows carry the
-same checksums, a corrupt row reads as a miss exactly like a corrupt loose
-file, and ``vacuum`` sweeps packs too.
+WAL relies on shared memory, so one cache directory must not be shared by
+processes on different hosts (for example over a network filesystem).  The
+connection is opened lazily, once per process: a forked pool worker that reads
+or writes the ``policy`` namespace opens its own connection and never touches
+the one it inherited.  Pickling drops the connection.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
-import tempfile
+import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import StoreLeaseError
-from .fingerprint import config_fingerprint, hash_payload
-from .packs import CompactReport, NamespaceStats, PackStore
+from .fingerprint import canonical_json, config_fingerprint
 from .serialize import result_from_payload, result_payload
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -76,18 +62,114 @@ SIMULATION_NAMESPACE = "simulation"
 #: Namespace of solved MDP policies.
 POLICY_NAMESPACE = "policy"
 
-#: This machine's name, recorded in claim files so staleness checks know when
-#: the holder pid can be probed locally.
+#: File name of the database inside the store's root directory.
+DATABASE_FILENAME = "store.sqlite"
+
+#: This machine's name, recorded in leases so staleness checks know when the
+#: holder pid can be probed locally.
 _HOSTNAME = platform.node() or "unknown-host"
+
+#: How long (seconds) a statement waits for another process's lock.
+_BUSY_TIMEOUT_S = 30.0
+
+#: The first bytes of every sqlite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
+
+#: Keys per ``IN (...)`` clause, under sqlite's historical 999-variable limit.
+_SELECT_CHUNK = 400
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS entries (
+    namespace TEXT NOT NULL,
+    key TEXT NOT NULL,
+    checksum TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    PRIMARY KEY (namespace, key)
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS leases (
+    namespace TEXT NOT NULL,
+    key TEXT NOT NULL,
+    token TEXT NOT NULL,
+    pid INTEGER NOT NULL,
+    host TEXT NOT NULL,
+    expires_at REAL NOT NULL,
+    PRIMARY KEY (namespace, key)
+);
+"""
+
+#: Connections inherited across ``fork``.  The child keeps them referenced and
+#: never uses or closes them: closing one would close its file descriptors,
+#: and closing any descriptor of a file drops every POSIX lock this process
+#: holds on it, including the locks of the child's own connection.
+_INHERITED: list[sqlite3.Connection] = []
+
+
+def _checksum(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _row_valid(checksum: object, text: object) -> bool:
+    """A row's integrity check: its payload text hashes to its checksum."""
+    return isinstance(text, str) and _checksum(text) == checksum
+
+
+def _lease_stale(pid: int, host: str, expires_at: float) -> bool:
+    """True when a lease may be stolen: expired, or its same-host holder is dead.
+
+    The pid probe only works for same-host holders; cross-host staleness falls
+    back to the expiry alone.
+    """
+    if expires_at <= time.time():
+        return True
+    if host == _HOSTNAME:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except OSError:  # pragma: no cover - alive, owned by another user
+            pass
+    return False
+
+
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Switch ``connection``'s database to WAL mode (a no-op once it is).
+
+    The switch takes a lock that ignores the busy timeout, so processes
+    creating the same fresh database at once retry here instead.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
+        try:
+            if connection.execute("PRAGMA journal_mode=WAL").fetchone()[0] == "wal":
+                return
+        except sqlite3.OperationalError:
+            pass
+        if time.monotonic() > deadline:
+            raise sqlite3.OperationalError("could not switch the store database to WAL")
+        time.sleep(0.01)
+
+
+def _sqlite_or_empty(path: Path) -> bool:
+    """False when ``path`` holds bytes that are not an sqlite database."""
+    try:
+        with open(path, "rb") as handle:
+            header = handle.read(len(_SQLITE_HEADER))
+    except FileNotFoundError:
+        return True
+    return header in (b"", _SQLITE_HEADER)
+
+
+def _namespace_filter(namespace: str | None) -> tuple[str, tuple[str, ...]]:
+    """A ``WHERE`` clause and its arguments restricting a scan to ``namespace``."""
+    return ("WHERE namespace = ?", (namespace,)) if namespace is not None else ("", ())
 
 
 @dataclass(frozen=True)
 class Lease:
-    """A held claim on one store entry (see :meth:`ResultStore.claim`)."""
+    """A held lease on one store entry, as returned by ``claim``."""
 
     namespace: str
     key: str
-    path: Path
     token: str
     expires_at: float
 
@@ -96,38 +178,36 @@ class Lease:
 class VacuumReport:
     """What one :meth:`ResultStore.vacuum` pass removed.
 
-    Every count covers removals *this pass performed* — debris a racing
-    process swept first is not claimed here.
+    Every count covers rows *this pass* deleted — a row a racing process
+    removed or rewrote first is not claimed here.
     """
 
-    removed_tmp: int
-    removed_claims: int
+    #: Checksum-failing entry rows evicted.
     removed_entries: int
-    #: Checksum-failing rows evicted from pack files.
-    removed_pack_rows: int = 0
-    #: Unreadable pack files deleted outright (their keys read as misses).
-    removed_packs: int = 0
-    #: Valid loose entries removed because their shard's pack already holds them.
-    deduplicated_entries: int = 0
+    #: Stale lease rows deleted (live leases are kept).
+    removed_leases: int
 
     @property
     def total(self) -> int:
-        """Files and pack rows removed altogether."""
-        return (
-            self.removed_tmp
-            + self.removed_claims
-            + self.removed_entries
-            + self.removed_pack_rows
-            + self.removed_packs
-            + self.deduplicated_entries
-        )
+        """Rows removed altogether."""
+        return self.removed_entries + self.removed_leases
+
+
+@dataclass(frozen=True)
+class StoreStats:
+    """Entries per namespace and the database's size on disk."""
+
+    #: Namespace -> number of entry rows (valid or not).
+    entries: dict[str, int]
+    #: Bytes of ``store.sqlite`` plus its write-ahead log.
+    database_bytes: int
 
 
 class ResultStore:
-    """A content-addressed JSON store rooted at one directory.
+    """A content-addressed store backed by one sqlite database under ``root``.
 
     ``lease_ttl`` bounds how long a crashed process can block others via the
-    claim protocol: a claim older than this many seconds is stale and may be
+    lease protocol: a lease older than this many seconds is stale and may be
     stolen even when the holder cannot be probed (different host).  Set it
     comfortably above the longest expected single run — a healthy-but-slow
     holder whose lease expires gets its work duplicated (harmlessly, writes
@@ -138,468 +218,267 @@ class ResultStore:
         if lease_ttl <= 0:
             raise StoreLeaseError(f"lease_ttl must be positive, got {lease_ttl}")
         self.root = Path(root)
+        self.path = self.root / DATABASE_FILENAME
         self.lease_ttl = lease_ttl
         self.root.mkdir(parents=True, exist_ok=True)
-        self.packs = PackStore(self.root)
+        self._connection: sqlite3.Connection | None = None
+        self._pid: int | None = None
 
-    # ------------------------------------------------------------------ raw entries
-    def _entry_path(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}.json"
+    def __getstate__(self) -> dict:
+        # A connection is process-local: a pickled store reconnects lazily.
+        return {**self.__dict__, "_connection": None, "_pid": None}
 
-    def put(self, namespace: str, key: str, payload: dict) -> Path:
-        """Persist ``payload`` under ``key``, atomically, and return its path.
+    # ------------------------------------------------------------------ connection
+    def _db(self) -> sqlite3.Connection:
+        """This process's connection, opened on first use."""
+        if self._pid != os.getpid():
+            if self._connection is not None:
+                _INHERITED.append(self._connection)
+            self._connection = self._open()
+            self._pid = os.getpid()
+        return self._connection
 
-        Concurrent-writer-safe: the envelope lands via a same-directory
-        temporary file and ``os.replace``, and a concurrent ``vacuum`` that
-        sweeps the temporary file out from under the rename is absorbed by
-        rewriting through a fresh one.
-        """
-        path = self._entry_path(namespace, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {"key": key, "checksum": hash_payload(payload), "payload": payload}
-        body = json.dumps(envelope, sort_keys=True)
-        for attempt in range(3):
-            descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(descriptor, "w") as handle:
-                    handle.write(body)
-                os.replace(temp_name, path)
-            except FileNotFoundError:
-                # A concurrent vacuum removed the tmp file between write and
-                # rename; retry through a fresh one.
-                if attempt == 2:
-                    raise
-                continue
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            return path
-        raise OSError(f"could not persist {path}")  # pragma: no cover - loop returns
+    def _open(self) -> sqlite3.Connection:
+        if not _sqlite_or_empty(self.path):
+            self._set_aside()
+        try:
+            return self._connect()
+        except sqlite3.OperationalError:
+            raise  # locked or unwritable: a real error, not a damaged file
+        except sqlite3.DatabaseError:
+            self._set_aside()
+            return self._connect()
 
-    def get(self, namespace: str, key: str) -> dict | None:
-        """Load the payload stored under ``key``; ``None`` on miss *or* corruption.
+    def _set_aside(self) -> None:
+        """Move an unreadable database aside, so every key it held reads as a miss.
 
-        The shard's pack file is consulted first, loose JSON second.  A
-        corrupted loose entry (unreadable, malformed JSON, wrong envelope
-        shape, key or checksum mismatch) is removed so the slot is clean for
-        the rewrite that follows the recomputation; a corrupted pack row just
-        reads as a miss (:meth:`vacuum` evicts it).
-        """
-        packed = self.packs.get(namespace, key)
-        if packed is not None:
-            return packed
-        return self._get_loose(namespace, key)
-
-    def _get_loose(self, namespace: str, key: str) -> dict | None:
-        """The loose tier's half of :meth:`get`: validate, discard on damage."""
-        path = self._entry_path(namespace, key)
-        payload = self._read_valid_entry(path, key)
-        if payload is None:
-            if path.exists():
-                self._discard(path)
-            return None
-        return payload
-
-    @staticmethod
-    def _read_valid_entry(path: Path, key: str) -> dict | None:
-        """Read and fully validate one loose envelope; ``None`` on any damage.
-
-        Pure read — never removes anything, so callers that must account for
-        their *own* removals (``vacuum``) can unlink explicitly.
+        Its WAL files are deleted: replayed over a fresh database they would
+        resurrect the damaged pages.
         """
         try:
-            envelope = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("key") != key
-            or "payload" not in envelope
-            or envelope.get("checksum") != hash_payload(envelope["payload"])
-        ):
-            return None
-        return envelope["payload"]
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:  # pragma: no cover - racing unlink is best-effort
+            os.replace(self.path, f"{self.path}.corrupt-{os.getpid()}")
+        except OSError:  # pragma: no cover - a racing process moved it first
             pass
+        for suffix in ("-wal", "-shm"):
+            Path(f"{self.path}{suffix}").unlink(missing_ok=True)
 
-    def contains(self, namespace: str, key: str) -> bool:
-        """True when a *valid* entry exists under ``key`` (packed or loose)."""
-        return self.get(namespace, key) is not None
-
-    def get_many(self, namespace: str, keys: Sequence[str]) -> dict[str, dict]:
-        """Batch-load the valid payloads under ``keys``; misses are absent.
-
-        One ``SELECT`` per shard answers the packed keys; only the remainder
-        falls back to per-file loose reads, so a mostly-compacted store does
-        O(shards) file opens rather than O(keys).
-        """
-        found = self.packs.get_many(namespace, keys)
-        for key in keys:
-            if key not in found:
-                payload = self._get_loose(namespace, key)
-                if payload is not None:
-                    found[key] = payload
-        return found
-
-    def contains_many(self, namespace: str, keys: Sequence[str]) -> set[str]:
-        """The subset of ``keys`` with a valid entry (packed or loose), batched."""
-        present = self.packs.contains_many(namespace, keys)
-        for key in keys:
-            if key not in present and self._get_loose(namespace, key) is not None:
-                present.add(key)
-        return present
-
-    def keys(self, namespace: str) -> Iterator[str]:
-        """Iterate the keys present under ``namespace`` (validity not checked).
-
-        Covers both tiers: loose entry files and pack rows, each key once.
-        """
-        base = self.root / namespace
-        if not base.is_dir():
-            return
-        seen: set[str] = set()
-        for path in sorted(base.glob("*/*.json")):
-            seen.add(path.stem)
-            yield path.stem
-        for shard in sorted(child for child in base.iterdir() if child.is_dir()):
-            for key in sorted(self.packs.packed_keys(namespace, shard.name) - seen):
-                yield key
-
-    def count(self, namespace: str) -> int:
-        """Number of entries (valid or not) under ``namespace``, both tiers."""
-        return sum(1 for _ in self.keys(namespace))
-
-    # ------------------------------------------------------------------ leases
-    def _claim_path(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}.claim"
-
-    @staticmethod
-    def _read_claim(path: Path) -> dict | None:
-        """The claim file's holder record; ``None`` when absent or unreadable."""
+    def _connect(self) -> sqlite3.Connection:
+        # Autocommit: each statement is its own transaction.
+        connection = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None)
         try:
-            holder = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return holder if isinstance(holder, dict) else None
-
-    @staticmethod
-    def _claim_stale(holder: dict) -> bool:
-        """True when the claim may be stolen: expired, or its holder is dead.
-
-        The pid probe only works for same-host holders; cross-host staleness
-        falls back to the expiry alone.  A corrupt holder record is stale.
-        """
-        expires_at = holder.get("expires_at")
-        if not isinstance(expires_at, (int, float)) or expires_at <= time.time():
-            return True
-        if holder.get("host") == _HOSTNAME and isinstance(holder.get("pid"), int):
-            try:
-                os.kill(holder["pid"], 0)
-            except ProcessLookupError:
-                return True
-            except (PermissionError, OSError):  # pragma: no cover - alive, not ours
-                pass
-        return False
-
-    def claim(self, namespace: str, key: str) -> Lease | None:
-        """Try to take the cross-process claim on ``key``.
-
-        Returns a :class:`Lease` when this process now owns the right to
-        compute the entry, or ``None`` when another process holds a live claim
-        (wait for the entry, or poll :meth:`lease_state`).  A stale claim —
-        expired, dead same-host holder, or unreadable — is stolen atomically:
-        the stealer replaces the file and wins only if a read-back still shows
-        its own token.  After a successful claim, re-check the entry before
-        computing: the previous holder writes the result *before* releasing.
-        """
-        path = self._claim_path(namespace, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        now = time.time()
-        token = f"{_HOSTNAME}:{os.getpid()}:{os.urandom(8).hex()}"
-        record = {
-            "token": token,
-            "pid": os.getpid(),
-            "host": _HOSTNAME,
-            "acquired_at": now,
-            "expires_at": now + self.lease_ttl,
-        }
-        body = json.dumps(record, sort_keys=True)
-        lease = Lease(
-            namespace=namespace, key=key, path=path, token=token,
-            expires_at=record["expires_at"],
-        )
-        try:
-            descriptor = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            holder = self._read_claim(path)
-            if holder is not None and not self._claim_stale(holder):
-                return None
-            # Steal: atomic replace, then read-back verification so that two
-            # simultaneous stealers cannot both believe they won.
-            steal_descriptor, temp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-claim-", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(steal_descriptor, "w") as handle:
-                    handle.write(body)
-                os.replace(temp_name, path)
-            except OSError as error:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise StoreLeaseError(f"could not steal stale claim {path}: {error}") from error
-            current = self._read_claim(path)
-            if current is None or current.get("token") != token:
-                return None
-            return lease
-        except OSError as error:
-            raise StoreLeaseError(f"could not create claim {path}: {error}") from error
-        with os.fdopen(descriptor, "w") as handle:
-            handle.write(body)
-        return lease
-
-    def release(self, lease: Lease) -> bool:
-        """Drop a held claim; ``False`` when it was already stolen or swept.
-
-        Release *after* persisting the result: any process that subsequently
-        wins the claim re-checks the entry first, so compute-then-write-then-
-        release guarantees nobody recomputes a settled entry.
-
-        A check-then-unlink here would race a stealer: between reading our
-        token back and unlinking, the claim file can be atomically replaced
-        with the *stealer's* live claim, and the unlink would drop a claim we
-        no longer own.  Instead the claim is renamed aside first — the rename
-        atomically decides whose claim we took — and only then inspected: our
-        token means release succeeded; anyone else's claim is put back via
-        ``os.link`` (which, unlike a rename, cannot stomp a claim created in
-        the meantime).
-        """
-        aside = lease.path.with_name(
-            f".{lease.key[:8]}-release-{os.getpid()}-{os.urandom(4).hex()}.tmp"
-        )
-        try:
-            os.rename(lease.path, aside)
-        except OSError:  # claim already gone (stolen + released, or vacuumed)
-            return False
-        current = self._read_claim(aside)
-        if current is not None and current.get("token") == lease.token:
-            self._discard(aside)
-            return True
-        # The claim under the slot was not ours — restore it.  link-then-unlink
-        # re-creates the name only if the slot is still empty; if a third
-        # process claimed it during the aside window, that newer claim stands.
-        try:
-            os.link(aside, lease.path)
-        except OSError:  # pragma: no cover - slot re-claimed in the window
-            pass
-        self._discard(aside)
-        return False
-
-    def lease_state(self, namespace: str, key: str) -> str:
-        """``"free"``, ``"held"`` or ``"stale"`` — the claim slot's state.
-
-        One read decides: an ``exists()`` pre-check would misreport a claim
-        released between the check and the read as ``"stale"`` when the slot
-        is actually free.
-        """
-        path = self._claim_path(namespace, key)
-        try:
-            holder = json.loads(path.read_text())
-        except FileNotFoundError:
-            return "free"
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            # Present but unreadable: stale (stealable), as :meth:`claim` treats it.
-            return "stale"
-        if not isinstance(holder, dict) or self._claim_stale(holder):
-            return "stale"
-        return "held"
-
-    # ------------------------------------------------------------------ vacuum
-    def vacuum(
-        self, namespace: str | None = None, *, tmp_max_age: float = 3600.0
-    ) -> VacuumReport:
-        """Sweep the debris hard-killed writers leave behind.
-
-        Removes, per namespace (all of them by default):
-
-        * temporary files older than ``tmp_max_age`` seconds (an in-flight
-          write holds its tmp file for milliseconds; anything old is an
-          orphan from a killed writer);
-        * stale claim files (expired or dead-holder — live claims are kept);
-        * invalid entries (truncated/corrupted envelopes), via the same
-          validation :meth:`get` applies, so the slot is clean to recompute;
-        * pack damage: checksum-failing pack rows are evicted and a pack file
-          that is not readable sqlite at all is deleted (its keys already read
-          as misses either way);
-        * loose entries whose shard's pack holds a *valid* row for the same
-          key — redundant since :meth:`compact` committed them, so the dedup
-          reclaims what an interrupted compaction left behind.
-
-        Several processes may vacuum (or remove entries) concurrently; each
-        report counts only the removals *that pass itself performed* — a file
-        that vanishes under the sweep was someone else's removal and is not
-        claimed.
-        """
-        if namespace is None:
-            namespaces = sorted(
-                child.name for child in self.root.iterdir() if child.is_dir()
-            )
-        else:
-            namespaces = [namespace]
-        removed_tmp = removed_claims = removed_entries = 0
-        removed_pack_rows = removed_packs = deduplicated_entries = 0
-        cutoff = time.time() - tmp_max_age
-        for name in namespaces:
-            base = self.root / name
-            if not base.is_dir():
-                continue
-            for shard in sorted(child for child in base.iterdir() if child.is_dir()):
-                for temp_file in sorted(shard.glob(".*.tmp")):
-                    try:
-                        if temp_file.stat().st_mtime <= cutoff:
-                            temp_file.unlink()
-                            removed_tmp += 1
-                    except OSError:  # pragma: no cover - racing writer finished
-                        pass
-                for claim_file in sorted(shard.glob("*.claim")):
-                    holder = self._read_claim(claim_file)
-                    if holder is None or self._claim_stale(holder):
-                        try:
-                            claim_file.unlink()
-                            removed_claims += 1
-                        except OSError:  # pragma: no cover - racing release
-                            pass
-                shard_rows, shard_packs, packed = self.packs.vacuum_shard(
-                    name, shard.name
-                )
-                removed_pack_rows += shard_rows
-                removed_packs += shard_packs
-                for entry in sorted(shard.glob("*.json")):
-                    key = entry.stem
-                    if key in packed:
-                        # The pack holds a verified row for this key; the loose
-                        # copy is an interrupted compaction's leftover.
-                        try:
-                            entry.unlink()
-                            deduplicated_entries += 1
-                        except OSError:  # racing remover got there first
-                            pass
-                        continue
-                    if self._read_valid_entry(entry, key) is None:
-                        # Invalid (or vanished since the glob): remove it
-                        # ourselves and count only a removal we performed — a
-                        # FileNotFoundError here means a racing process already
-                        # swept it, which is not this pass's removal.
-                        try:
-                            entry.unlink()
-                            removed_entries += 1
-                        except OSError:
-                            pass
-        return VacuumReport(
-            removed_tmp=removed_tmp,
-            removed_claims=removed_claims,
-            removed_entries=removed_entries,
-            removed_pack_rows=removed_pack_rows,
-            removed_packs=removed_packs,
-            deduplicated_entries=deduplicated_entries,
-        )
-
-    # ------------------------------------------------------------------ compaction
-    def compact(self, namespace: str | None = None) -> CompactReport:
-        """Batch settled loose entries into per-shard pack files.
-
-        Bit-exact and crash-safe (see :meth:`PackStore.compact`): loading any
-        key after compaction returns the identical payload, and an interrupted
-        pass loses nothing — at worst a loose duplicate that the next
-        :meth:`vacuum` deduplicates.
-        """
-        return self.packs.compact(namespace)
-
-    def stats(self, namespace: str | None = None) -> tuple[NamespaceStats, ...]:
-        """Per-namespace loose/packed entry and byte accounting."""
-        return self.packs.stats(namespace)
+            _enable_wal(connection)
+            connection.execute("PRAGMA synchronous=NORMAL")
+            connection.executescript(_SCHEMA)
+        except BaseException:
+            connection.close()
+            raise
+        return connection
 
     def close(self) -> None:
-        """Release cached pack connections (safe to keep using the store after)."""
-        self.packs.close()
+        """Close this process's connection (the store reopens it on next use)."""
+        connection, self._connection = self._connection, None
+        if connection is not None:
+            if self._pid == os.getpid():
+                connection.close()
+            else:
+                _INHERITED.append(connection)
+        self._pid = None
+
+    # ------------------------------------------------------------------ entries
+    def put(self, namespace: str, key: str, payload: dict) -> None:
+        """Persist ``payload`` under ``key`` (replacing any previous row)."""
+        text = canonical_json(payload)
+        self._db().execute(
+            "INSERT OR REPLACE INTO entries (namespace, key, checksum, payload) "
+            "VALUES (?, ?, ?, ?)",
+            (namespace, key, _checksum(text), text),
+        )
+
+    def _valid_rows(self, namespace: str, keys: Sequence[str]) -> Iterator[tuple[str, str]]:
+        """Yield ``(key, payload text)`` for every checksum-valid row under ``keys``.
+
+        Rows stream from the cursor, so a batched read never holds every
+        payload's text at once.  An unreadable database reads as a miss.
+        """
+        keys = list(keys)
+        try:
+            connection = self._db()
+            for start in range(0, len(keys), _SELECT_CHUNK):
+                chunk = keys[start : start + _SELECT_CHUNK]
+                for key, checksum, text in connection.execute(
+                    "SELECT key, checksum, payload FROM entries WHERE namespace = ? "
+                    f"AND key IN ({','.join('?' * len(chunk))})",
+                    (namespace, *chunk),
+                ):
+                    if _row_valid(checksum, text):
+                        yield key, text
+        except sqlite3.DatabaseError:
+            return
+
+    def get(self, namespace: str, key: str) -> dict | None:
+        """The payload stored under ``key``; ``None`` on miss *or* corruption."""
+        for _key, text in self._valid_rows(namespace, [key]):
+            return json.loads(text)
+        return None
+
+    def contains(self, namespace: str, key: str) -> bool:
+        """True when a *valid* entry exists under ``key``."""
+        return any(True for _row in self._valid_rows(namespace, [key]))
+
+    def get_many(self, namespace: str, keys: Sequence[str]) -> dict[str, dict]:
+        """Batch-load the valid payloads under ``keys``; misses are absent."""
+        return {key: json.loads(text) for key, text in self._valid_rows(namespace, keys)}
+
+    def contains_many(self, namespace: str, keys: Sequence[str]) -> set[str]:
+        """The subset of ``keys`` with a valid entry (checksum verified, no parse)."""
+        return {key for key, _text in self._valid_rows(namespace, keys)}
+
+    # ------------------------------------------------------------------ leases
+    def claim(self, namespace: str, key: str) -> Lease | None:
+        """Try to take the cross-process lease on ``key``.
+
+        Returns a :class:`Lease` when this process now owns the right to
+        compute the entry, or ``None`` when another process holds a live lease
+        (wait for the entry, or poll :meth:`lease_state`).  A stale lease is
+        stolen by an ``UPDATE`` that only matches the stale token, so of two
+        stealers exactly one wins.  After a successful claim, re-check the
+        entry before computing: the previous holder writes the result *before*
+        releasing.
+        """
+        connection = self._db()
+        lease = Lease(
+            namespace=namespace,
+            key=key,
+            token=f"{_HOSTNAME}:{os.getpid()}:{os.urandom(8).hex()}",
+            expires_at=time.time() + self.lease_ttl,
+        )
+        row = (lease.token, os.getpid(), _HOSTNAME, lease.expires_at, namespace, key)
+        insert = (
+            "INSERT OR IGNORE INTO leases (token, pid, host, expires_at, namespace, key) "
+            "VALUES (?, ?, ?, ?, ?, ?)"
+        )
+        if connection.execute(insert, row).rowcount == 1:
+            return lease
+        holder = connection.execute(
+            "SELECT token, pid, host, expires_at FROM leases WHERE namespace = ? AND key = ?",
+            (namespace, key),
+        ).fetchone()
+        if holder is None:  # released in between: the slot is free again
+            return lease if connection.execute(insert, row).rowcount == 1 else None
+        if not _lease_stale(*holder[1:]):
+            return None
+        stolen = connection.execute(
+            "UPDATE leases SET token = ?, pid = ?, host = ?, expires_at = ? "
+            "WHERE namespace = ? AND key = ? AND token = ?",
+            (*row, holder[0]),
+        )
+        return lease if stolen.rowcount == 1 else None
+
+    def release(self, lease: Lease) -> bool:
+        """Drop a held lease; ``False`` when it was already stolen or vacuumed.
+
+        Release *after* persisting the result: any process that subsequently
+        wins the lease re-checks the entry first, so compute-then-write-then-
+        release guarantees nobody recomputes a settled entry.
+        """
+        deleted = self._db().execute(
+            "DELETE FROM leases WHERE namespace = ? AND key = ? AND token = ?",
+            (lease.namespace, lease.key, lease.token),
+        )
+        return deleted.rowcount == 1
+
+    def lease_state(self, namespace: str, key: str) -> str:
+        """``"free"``, ``"held"`` or ``"stale"`` — the lease slot's state."""
+        holder = self._db().execute(
+            "SELECT pid, host, expires_at FROM leases WHERE namespace = ? AND key = ?",
+            (namespace, key),
+        ).fetchone()
+        if holder is None:
+            return "free"
+        return "stale" if _lease_stale(*holder) else "held"
+
+    # ------------------------------------------------------------------ maintenance
+    def vacuum(self, namespace: str | None = None) -> VacuumReport:
+        """Evict checksum-failing rows and stale leases (all namespaces by default).
+
+        A row is deleted only if it still holds the exact text or token this
+        pass inspected, so an entry rewritten or a lease re-claimed in the
+        meantime survives, and concurrent passes never double-count.
+        """
+        connection = self._db()
+        where, arguments = _namespace_filter(namespace)
+        damaged = [
+            (name, key, text)
+            for name, key, checksum, text in connection.execute(
+                f"SELECT namespace, key, checksum, payload FROM entries {where}", arguments
+            )
+            if not _row_valid(checksum, text)
+        ]
+        stale = [
+            (name, key, token)
+            for name, key, token, pid, host, expires_at in connection.execute(
+                f"SELECT namespace, key, token, pid, host, expires_at FROM leases {where}",
+                arguments,
+            )
+            if _lease_stale(pid, host, expires_at)
+        ]
+        removed_entries = sum(
+            connection.execute(
+                "DELETE FROM entries WHERE namespace = ? AND key = ? AND payload = ?", row
+            ).rowcount
+            for row in damaged
+        )
+        removed_leases = sum(
+            connection.execute(
+                "DELETE FROM leases WHERE namespace = ? AND key = ? AND token = ?", row
+            ).rowcount
+            for row in stale
+        )
+        return VacuumReport(removed_entries=removed_entries, removed_leases=removed_leases)
+
+    def stats(self, namespace: str | None = None) -> StoreStats:
+        """Entry rows per namespace plus the database's size on disk."""
+        where, arguments = _namespace_filter(namespace)
+        entries = dict(
+            self._db().execute(
+                f"SELECT namespace, COUNT(*) FROM entries {where} "
+                "GROUP BY namespace ORDER BY namespace",
+                arguments,
+            )
+        )
+        files = (self.path, Path(f"{self.path}-wal"))
+        return StoreStats(
+            entries=entries,
+            database_bytes=sum(path.stat().st_size for path in files if path.exists()),
+        )
 
     # ------------------------------------------------------------------ simulation runs
     def result_key(self, config: "SimulationConfig", backend: str) -> str:
         """The content address of one ``(config, backend)`` run."""
         return config_fingerprint(config, backend)
 
-    def has_result(self, config: "SimulationConfig", backend: str) -> bool:
-        """True when the run's settled result is cached (and valid)."""
-        return self.contains(SIMULATION_NAMESPACE, self.result_key(config, backend))
+    def save_result(self, key: str, result: "SimulationResult") -> None:
+        """Persist one settled run under its key (see :meth:`result_key`)."""
+        self.put(SIMULATION_NAMESPACE, key, result_payload(result))
 
-    def load_result(self, config: "SimulationConfig", backend: str) -> "SimulationResult | None":
-        """The cached result of the run, bit-exact, or ``None``."""
-        payload = self.get(SIMULATION_NAMESPACE, self.result_key(config, backend))
-        if payload is None:
-            return None
-        try:
-            return result_from_payload(payload, config)
-        except (KeyError, TypeError, ValueError):
-            # A payload from an incompatible schema: recompute rather than fail.
-            self._discard(self._entry_path(SIMULATION_NAMESPACE, self.result_key(config, backend)))
-            return None
-
-    def save_result(self, result: "SimulationResult", backend: str) -> Path:
-        """Persist one settled run under its configuration's fingerprint."""
-        key = self.result_key(result.config, backend)
-        return self.put(SIMULATION_NAMESPACE, key, result_payload(result))
-
-    def load_many(
-        self, tasks: Sequence[tuple["SimulationConfig", str]]
+    def load_results(
+        self, keys: Sequence[str], configs: Sequence["SimulationConfig"]
     ) -> list["SimulationResult | None"]:
-        """Batched :meth:`load_result`, aligned with ``tasks``.
+        """The cached runs under ``keys``, bit-exact, aligned with ``keys``.
 
-        The hot path of a warm sweep: all packed hits come back from one
-        ``SELECT`` per shard instead of one file open per run.
+        ``configs[i]`` is the configuration ``keys[i]`` addresses (results are
+        stored without it).  Misses, corrupt rows and payloads from an
+        incompatible schema all come back as ``None``: recompute, don't fail.
         """
-        keys = [self.result_key(config, backend) for config, backend in tasks]
         payloads = self.get_many(SIMULATION_NAMESPACE, keys)
         results: list["SimulationResult | None"] = []
-        for (config, _backend), key in zip(tasks, keys):
+        for key, config in zip(keys, configs):
             payload = payloads.get(key)
-            if payload is None:
-                results.append(None)
-                continue
             try:
-                results.append(result_from_payload(payload, config))
+                results.append(None if payload is None else result_from_payload(payload, config))
             except (KeyError, TypeError, ValueError):
-                # A payload from an incompatible schema: recompute rather than
-                # fail (its loose file, if any, is discarded like load_result's).
-                self._discard(self._entry_path(SIMULATION_NAMESPACE, key))
                 results.append(None)
         return results
-
-    def has_results(
-        self, tasks: Sequence[tuple["SimulationConfig", str]]
-    ) -> list[bool]:
-        """Batched :meth:`has_result`, aligned with ``tasks``."""
-        keys = [self.result_key(config, backend) for config, backend in tasks]
-        present = self.contains_many(SIMULATION_NAMESPACE, keys)
-        return [key in present for key in keys]
-
-    def claim_result(self, config: "SimulationConfig", backend: str) -> Lease | None:
-        """Claim the right to compute one run (see :meth:`claim`)."""
-        return self.claim(SIMULATION_NAMESPACE, self.result_key(config, backend))
-
-    def result_lease_state(self, config: "SimulationConfig", backend: str) -> str:
-        """The claim slot's state for one run (see :meth:`lease_state`)."""
-        return self.lease_state(SIMULATION_NAMESPACE, self.result_key(config, backend))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"ResultStore(root={str(self.root)!r})"

@@ -2,7 +2,7 @@
 
 The point of this harness is that the chaos tests and the CI chaos job drive
 the **real** process-pool path: a worker genuinely dies of ``SIGKILL``, a task
-genuinely hangs past its timeout, a just-written store entry is genuinely
+genuinely hangs past its timeout, a just-written store row is genuinely
 corrupted on disk — and the sweep must still settle to aggregates bit-identical
 to an uninjected run (the pre-derived seed protocol makes every retried attempt
 a pure re-execution).
@@ -36,9 +36,9 @@ Fault kinds
     The worker sends itself ``SIGKILL`` — exit code ``-9``, the OOM-killer
     signature — before executing the task.
 ``corrupt``
-    Parent-side: the store entry written for the task is truncated right
-    after the atomic write, leaving an invalid (checksum-failing) file that
-    must read as a cache miss and be swept by ``vacuum()``.
+    Parent-side: the payload text of the store row written for the task is
+    truncated right after the write, leaving a checksum-failing row that must
+    read as a cache miss and be evicted by ``vacuum()``.
 
 ``raise`` faults fire anywhere; ``hang``/``kill`` need a worker process and
 raise loudly when hit in-process (a serial run cannot survive them).
@@ -49,13 +49,17 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sqlite3
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..errors import ParameterError
+from ..store import SIMULATION_NAMESPACE
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..store import ResultStore
 
 #: Environment variable carrying the JSON-encoded plan (mirrored in
 #: :mod:`repro.utils.resilient` so the dispatcher never imports this module
@@ -221,14 +225,19 @@ def fire_task_faults(task: int, attempt: int, *, in_worker: bool) -> None:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def corrupt_after_write(path: Path, task: int) -> None:
-    """Store hook: truncate the entry just written for ``task`` if planned.
+def corrupt_after_write(store: "ResultStore", key: str, task: int) -> None:
+    """Store hook: truncate the payload of the row just written for ``task`` if planned.
 
     Called by the runner in the parent process right after a result is
-    persisted; the half-file fails the store's checksum validation, so it must
-    read as a cache miss (and ``vacuum()`` must sweep it).
+    persisted under ``key``; the half-payload fails the store's checksum
+    validation, so it must read as a cache miss (and ``vacuum()`` must evict
+    it).
     """
     for spec in active_plan():
         if spec.kind == "corrupt" and spec.task == task:
-            data = path.read_bytes()
-            path.write_bytes(data[: len(data) // 2])
+            with closing(sqlite3.connect(store.path, timeout=30.0)) as connection, connection:
+                connection.execute(
+                    "UPDATE entries SET payload = substr(payload, 1, length(payload) / 2) "
+                    "WHERE namespace = ? AND key = ?",
+                    (SIMULATION_NAMESPACE, key),
+                )

@@ -28,7 +28,7 @@ from repro.rewards.schedule import FlatUncleSchedule
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import RunFailure, execute_runs
-from repro.store import ResultStore
+from repro.store import SIMULATION_NAMESPACE, ResultStore
 from repro.testing import FaultSpec, inject_faults
 from repro.utils.resilient import RetryPolicy
 
@@ -213,10 +213,11 @@ class TestConcurrentSweeps:
         store = ResultStore(tmp_path / "cache", lease_ttl=0.2)
         # Simulate a dead holder: claim then never release.  The lease TTL is
         # tiny, so the waiting process steals the stale claim and runs.
-        lease = store.claim_result(config, "markov")
+        key = store.result_key(config, "markov")
+        lease = store.claim(SIMULATION_NAMESPACE, key)
         assert lease is not None
         results, executed = execute_runs(
             [(config, "markov")], store=store, policy=RetryPolicy(backoff_base=0.0)
         )
         assert executed == [0]
-        assert store.load_result(config, "markov") is not None
+        assert store.load_results([key], [config]) == results

@@ -25,7 +25,7 @@ from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, F
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import execute_runs
-from repro.store import ResultStore
+from repro.store import SIMULATION_NAMESPACE, ResultStore
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -76,10 +76,10 @@ class TestWarmStoreDoesZeroWork:
         assert warm.executed_runs == 0 and warm.cached_runs == 18
         assert [o.aggregate for o in warm.cells] == [o.aggregate for o in cold.cells]
 
-    def test_compacted_store_still_does_zero_work_bit_exactly(self, tmp_path, monkeypatch):
-        """Compaction must not cost a single recompute or change a single bit."""
+    def test_reopened_store_still_does_zero_work_bit_exactly(self, tmp_path, monkeypatch):
+        """A fresh process's view of the store costs no recompute and no bit."""
         spec = ScenarioSpec(
-            name="figure8-compacted",
+            name="figure8-reopened",
             alphas=tuple(round(0.05 * step, 2) for step in range(1, 10)),
             gammas=(0.5,),
             strategies=("selfish",),
@@ -89,18 +89,43 @@ class TestWarmStoreDoesZeroWork:
             num_blocks=2_000,
             seed=2019,
         )
-        counter = _counting_make_simulator(monkeypatch)
         store = ResultStore(tmp_path / "cache")
         cold = run_scenario(spec, store=store)
         assert cold.executed_runs == 18
+        store.close()
 
-        report = store.compact()
-        assert report.packed == 18
-        counter["builds"] = 0
-        warm = run_scenario(spec, store=store)
-        assert counter["builds"] == 0, "compacted warm re-run constructed a simulator"
+        import repro.simulation.runner as runner_module
+
+        def forbidden(config, backend):
+            raise AssertionError("warm re-run constructed a simulator")
+
+        monkeypatch.setattr(runner_module, "make_simulator", forbidden)
+        warm = run_scenario(spec, store=ResultStore(tmp_path / "cache"))
         assert warm.executed_runs == 0 and warm.cached_runs == 18
         assert [o.aggregate for o in warm.cells] == [o.aggregate for o in cold.cells]
+
+    def test_garbage_database_still_settles_bit_exactly(self, tmp_path):
+        """An overwritten database reads as all misses; the sweep recomputes."""
+        spec = ScenarioSpec(
+            name="garbage-database",
+            alphas=(0.25, 0.35),
+            gammas=(0.5,),
+            strategies=("selfish",),
+            backends=("markov",),
+            num_runs=2,
+            num_blocks=1_500,
+            seed=2019,
+        )
+        filled = ResultStore(tmp_path / "cache")
+        cold = run_scenario(spec, store=filled)
+        filled.close()
+        (tmp_path / "cache" / "store.sqlite").write_bytes(b"\x00garbage" * 512)
+        store = ResultStore(tmp_path / "cache")
+        again = run_scenario(spec, store=store)
+        assert again.executed_runs == 4 and again.cached_runs == 0
+        assert [o.aggregate for o in again.cells] == [o.aggregate for o in cold.cells]
+        warm = run_scenario(spec, store=store)
+        assert warm.executed_runs == 0 and warm.cached_runs == 4
 
 
 class TestSeedEngineFixturesThroughStore:
@@ -244,7 +269,9 @@ class TestInterruptAndResume:
         store = ResultStore(tmp_path / "cache")
         with pytest.raises(Exception):
             execute_runs([(good, "markov"), (bad, "markov")], store=store)
-        assert store.has_result(good, "markov"), "settled run was not persisted"
+        assert store.contains(
+            SIMULATION_NAMESPACE, store.result_key(good, "markov")
+        ), "settled run was not persisted"
         (resumed,), executed = execute_runs([(good, "markov")], store=store)
         assert executed == []
         assert resumed.total_blocks == 800

@@ -9,11 +9,9 @@ The store's three load-bearing claims, each pinned here over randomised inputs:
    hash seed).
 2. **Cache round-trip** — loading a stored result reproduces the direct run
    bit-for-bit, for both the plain and the network result shapes.
-3. **Corruption safety** — any byte-level damage to an entry reads as a cache
-   miss, after which recomputation and re-storing restore the exact result.
-4. **Compaction transparency** — moving entries into the pack tier changes
-   nothing observable: a compacted entry loads bit-identically to the loose
-   one, and a damaged pack row degrades to recompute exactly like (3).
+3. **Corruption safety** — any damage to an entry's payload text reads as a
+   cache miss, ``vacuum`` evicts exactly that row, and recomputation and
+   re-storing restore the exact result.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import json
 import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -126,9 +125,9 @@ class TestCacheRoundTrip:
             config = config.with_strategy("selfish")
         store = ResultStore(tmp_path_factory.mktemp("store"))
         direct = run_once(config, backend=backend)
-        store.save_result(direct, backend)
-        loaded = store.load_result(config, backend)
-        assert loaded == direct
+        key = store.result_key(config, backend)
+        store.save_result(key, direct)
+        assert store.load_results([key], [config]) == [direct]
 
     @given(config=small_configs(), corruption=st.sampled_from(["truncate", "garbage", "tamper", "empty"]))
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -137,58 +136,30 @@ class TestCacheRoundTrip:
             config = config.with_strategy("selfish")
         store = ResultStore(tmp_path_factory.mktemp("store"))
         direct = run_once(config, backend="markov")
-        path = store.save_result(direct, "markov")
-        text = path.read_text()
-        if corruption == "truncate":
-            path.write_text(text[: len(text) // 2])
-        elif corruption == "garbage":
-            path.write_text("\x00\xff this is not json")
-        elif corruption == "empty":
-            path.write_text("")
-        else:
-            envelope = json.loads(text)
-            envelope["payload"]["total_blocks"] = -1.0
-            path.write_text(json.dumps(envelope))
-        assert store.load_result(config, "markov") is None
-        recomputed = run_once(config, backend="markov")
-        assert recomputed == direct
-        store.save_result(recomputed, "markov")
-        assert store.load_result(config, "markov") == direct
-
-
-class TestPackRoundTrip:
-    @given(config=small_configs(), backend=backends)
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_compacted_result_equals_direct_run(self, tmp_path_factory, config, backend):
-        if backend == "markov" and config.strategy_name == "lead_stubborn":
-            config = config.with_strategy("selfish")
-        store = ResultStore(tmp_path_factory.mktemp("store"))
-        direct = run_once(config, backend=backend)
-        loose_path = store.save_result(direct, backend)
-        report = store.compact()
-        assert report.packed == 1
-        assert not loose_path.exists()  # the entry now lives in the pack only
-        assert store.load_result(config, backend) == direct
-        assert store.has_result(config, backend)
-
-    @given(config=small_configs())
-    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_corrupted_pack_row_falls_back_to_recompute(self, tmp_path_factory, config):
-        if config.strategy_name not in ("honest", "selfish"):
-            config = config.with_strategy("selfish")
-        store = ResultStore(tmp_path_factory.mktemp("store"))
-        direct = run_once(config, backend="markov")
-        store.save_result(direct, "markov")
-        store.compact()
         key = store.result_key(config, "markov")
-        pack = store.packs.pack_path(SIMULATION_NAMESPACE, key[:2])
-        with sqlite3.connect(pack) as connection:
+        store.save_result(key, direct)
+        with closing(sqlite3.connect(store.path)) as connection:
+            (text,) = connection.execute(
+                "SELECT payload FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        if corruption == "truncate":
+            damaged = text[: len(text) // 2]
+        elif corruption == "garbage":
+            damaged = "\x00\xff this is not json"
+        elif corruption == "empty":
+            damaged = ""
+        else:
+            payload = json.loads(text)
+            payload["total_blocks"] = -1.0
+            damaged = json.dumps(payload)
+        with closing(sqlite3.connect(store.path)) as connection, connection:
             connection.execute(
-                "UPDATE entries SET payload = ? WHERE key = ?", ('{"bad": 1}', key)
+                "UPDATE entries SET payload = ? WHERE namespace = ? AND key = ?",
+                (damaged, SIMULATION_NAMESPACE, key),
             )
-        assert store.load_result(config, "markov") is None
-        assert store.vacuum().removed_pack_rows == 1
+        assert store.load_results([key], [config]) == [None]
+        assert store.vacuum().removed_entries == 1
         recomputed = run_once(config, backend="markov")
         assert recomputed == direct
-        store.save_result(recomputed, "markov")
-        assert store.load_result(config, "markov") == direct
+        store.save_result(key, recomputed)
+        assert store.load_results([key], [config]) == [direct]

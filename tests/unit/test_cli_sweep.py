@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -141,11 +143,11 @@ class TestRejectedFlagCombinations:
             ["sweep", "scenario.json", "--namespace", "simulation"],
             ["figure8", "--namespace", "simulation"],
             ["store"],  # missing action
-            ["store", "compact", "--fast"],
-            ["store", "compact", "--backend", "markov"],
-            ["store", "compact", "--resume"],
-            ["store", "compact", "--max-cells", "2"],
-            ["store", "compact", "--profile"],
+            ["store", "stats", "--fast"],
+            ["store", "stats", "--backend", "markov"],
+            ["store", "stats", "--resume"],
+            ["store", "stats", "--max-cells", "2"],
+            ["store", "stats", "--profile"],
             ["table1", "--profile"],
             ["figure6", "--profile", "stats.prof"],
             ["all", "--profile"],
@@ -210,33 +212,55 @@ class TestRunStore:
 
     def test_cache_dir_required(self):
         with pytest.raises(ExperimentError, match="needs --cache-dir"):
-            run_store("compact", cache_dir=None)
+            run_store("stats", cache_dir=None)
 
     def test_cache_dir_must_exist(self, tmp_path):
         # A typo should fail loudly, not create and maintain an empty store.
         with pytest.raises(ExperimentError, match="existing cache directory"):
             run_store("stats", cache_dir=tmp_path / "absent")
 
-    def test_compact_then_stats_then_vacuum(self, tmp_path):
+    def test_compact_is_no_longer_an_action(self, tmp_path):
+        with pytest.raises(ExperimentError, match="available: stats, vacuum"):
+            run_store("compact", cache_dir=tmp_path)
+
+    def test_stats_then_vacuum(self, tmp_path):
         cache = tmp_path / "cache"
         run_sweep(scenario_file(tmp_path), cache_dir=cache)
-        compacted = run_store("compact", cache_dir=cache)
-        assert "packed 4 loose entries" in compacted
         stats = run_store("stats", cache_dir=cache)
-        assert "simulation" in stats
+        assert "simulation  4" in stats
+        assert "store.sqlite" in stats
         vacuumed = run_store("vacuum", cache_dir=cache)
-        assert "0 invalid entries" in vacuumed
-        # The compacted store still answers the sweep entirely from cache.
+        assert vacuumed == "removed 0 invalid entries, 0 stale leases"
         warm = run_sweep(scenario_file(tmp_path), cache_dir=cache)
         assert "0 runs executed, 4 from cache" in warm
+
+    def test_vacuum_reports_a_corrupt_row(self, tmp_path):
+        cache = tmp_path / "cache"
+        run_sweep(scenario_file(tmp_path), cache_dir=cache)
+        with closing(sqlite3.connect(cache / "store.sqlite")) as connection, connection:
+            connection.execute(
+                "UPDATE entries SET payload = 'damaged' "
+                "WHERE key = (SELECT MIN(key) FROM entries)"
+            )
+        assert run_store("vacuum", cache_dir=cache) == (
+            "removed 1 invalid entries, 0 stale leases"
+        )
+        warm = run_sweep(scenario_file(tmp_path), cache_dir=cache)
+        assert "1 runs executed, 3 from cache" in warm
 
     def test_namespace_restriction_passes_through(self, tmp_path):
         cache = tmp_path / "cache"
         run_sweep(scenario_file(tmp_path), cache_dir=cache)
-        report = run_store("compact", cache_dir=cache, namespace="policy")
-        assert "packed 0 loose entries" in report  # nothing in 'policy'
+        report = run_store("stats", cache_dir=cache, namespace="policy")
+        assert "simulation" not in report  # nothing in 'policy'
+        store = ResultStore(cache)
+        with closing(sqlite3.connect(store.path)) as connection, connection:
+            connection.execute("UPDATE entries SET payload = 'damaged'")
+        assert run_store("vacuum", cache_dir=cache, namespace="policy").startswith(
+            "removed 0 invalid entries"
+        )
         # The simulation namespace was left alone.
-        assert ResultStore(cache).stats("simulation")[0].loose_entries == 4
+        assert store.stats("simulation").entries == {"simulation": 4}
 
 
 class TestMain:
@@ -250,15 +274,15 @@ class TestMain:
         assert "==== sweep" in output
         assert "cli-sweep" in output
 
-    def test_main_runs_store_compact(self, tmp_path, capsys):
+    def test_main_runs_store_stats(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
         cache = tmp_path / "cache"
         assert main(["sweep", str(path), "--cache-dir", str(cache)]) == 0
-        exit_code = main(["store", "compact", "--cache-dir", str(cache)])
+        exit_code = main(["store", "stats", "--cache-dir", str(cache)])
         assert exit_code == 0
         output = capsys.readouterr().out
-        assert "==== store compact" in output
-        assert "packed 4 loose entries" in output
+        assert "==== store stats" in output
+        assert "simulation  4" in output
 
 
 class TestSweepDegradedMode:

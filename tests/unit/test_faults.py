@@ -7,6 +7,7 @@ import os
 import pytest
 
 from repro.errors import ParameterError
+from repro.store import SIMULATION_NAMESPACE, ResultStore
 from repro.testing.faults import (
     FAULTS_ENV,
     FaultInjected,
@@ -19,6 +20,8 @@ from repro.testing.faults import (
     inject_faults,
     plan_from_seed,
 )
+
+KEY = "ab" * 32
 
 
 class TestFaultSpec:
@@ -141,16 +144,19 @@ class TestFiring:
 
 
 class TestCorruptAfterWrite:
-    def test_truncates_planned_entry(self, tmp_path):
-        target = tmp_path / "entry.json"
-        target.write_bytes(b"0123456789")
+    def test_truncates_planned_row_payload(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(SIMULATION_NAMESPACE, KEY, {"payload": "0123456789"})
         with inject_faults((FaultSpec(kind="corrupt", task=4),)):
-            corrupt_after_write(target, 4)
-        assert target.read_bytes() == b"01234"
+            corrupt_after_write(store, KEY, 4)
+        (text,) = store._db().execute("SELECT payload FROM entries").fetchone()
+        assert text == '{"payload":"'  # the first half of '{"payload":"0123456789"}'
+        assert store.get(SIMULATION_NAMESPACE, KEY) is None
+        assert store.vacuum().removed_entries == 1
 
     def test_leaves_other_tasks_alone(self, tmp_path):
-        target = tmp_path / "entry.json"
-        target.write_bytes(b"0123456789")
+        store = ResultStore(tmp_path)
+        store.put(SIMULATION_NAMESPACE, KEY, {"payload": "0123456789"})
         with inject_faults((FaultSpec(kind="corrupt", task=4),)):
-            corrupt_after_write(target, 5)
-        assert target.read_bytes() == b"0123456789"
+            corrupt_after_write(store, KEY, 5)
+        assert store.get(SIMULATION_NAMESPACE, KEY) == {"payload": "0123456789"}

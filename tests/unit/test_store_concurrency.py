@@ -2,24 +2,38 @@
 
 from __future__ import annotations
 
-import json
 import multiprocessing
-import os
+import sqlite3
 import time
-from pathlib import Path
+from contextlib import closing
 
 import pytest
 
 from repro.errors import StoreLeaseError
-from repro.params import MiningParams
-from repro.simulation.config import SimulationConfig
 from repro.store import Lease, ResultStore, VacuumReport
-
-CONFIG = SimulationConfig(params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=600, seed=11)
+from repro.store import store as store_module
 
 
 def _payload(key: str) -> dict:
     return {"value": key, "n": 1}
+
+
+def _dead_pid() -> int:
+    """The pid of a same-host process that has already exited."""
+    dead = multiprocessing.Process(target=_exit_immediately)
+    dead.start()
+    dead.join()
+    return dead.pid
+
+
+def _set_lease(store, key, **columns) -> None:
+    """Rewrite one lease row's columns, as if another holder had written it."""
+    assignments = ", ".join(f"{name} = ?" for name in columns)
+    with closing(sqlite3.connect(store.path)) as connection, connection:
+        connection.execute(
+            f"UPDATE leases SET {assignments} WHERE namespace = ? AND key = ?",
+            (*columns.values(), "simulation", key),
+        )
 
 
 class TestLeaseProtocol:
@@ -44,7 +58,6 @@ class TestLeaseProtocol:
         forged = Lease(
             namespace=lease.namespace,
             key=lease.key,
-            path=lease.path,
             token="someone-else",
             expires_at=lease.expires_at,
         )
@@ -61,6 +74,11 @@ class TestLeaseProtocol:
         store.release(lease)
         assert store.lease_state("simulation", key) == "free"
 
+    def test_leases_are_per_namespace(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.claim("simulation", "de" * 32) is not None
+        assert store.claim("policy", "de" * 32) is not None
+
     def test_expired_claim_is_stale_and_stolen(self, tmp_path):
         key = "ee" * 32
         holder = ResultStore(tmp_path, lease_ttl=0.05)
@@ -75,36 +93,55 @@ class TestLeaseProtocol:
     def test_dead_holder_claim_is_stale(self, tmp_path):
         store = ResultStore(tmp_path)
         key = "ff" * 32
-        lease = store.claim("simulation", key)
-        # Rewrite the claim as if a long-gone same-host process held it: the
+        assert store.claim("simulation", key) is not None
+        # Rewrite the lease as if a long-gone same-host process held it: the
         # pid probe, not the (far-future) expiry, must flag it stale.
-        record = json.loads(lease.path.read_text())
-        dead = multiprocessing.Process(target=_exit_immediately)
-        dead.start()
-        dead_pid = dead.pid
-        dead.join()
-        record["pid"] = dead_pid
-        record["expires_at"] = time.time() + 10_000
-        lease.path.write_text(json.dumps(record))
+        _set_lease(store, key, pid=_dead_pid(), expires_at=time.time() + 10_000)
         assert store.lease_state("simulation", key) == "stale"
         assert store.claim("simulation", key) is not None
 
-    def test_corrupt_claim_file_is_stale(self, tmp_path):
+    def test_dead_holder_on_another_host_waits_for_expiry(self, tmp_path):
         store = ResultStore(tmp_path)
-        key = "ab" * 32
-        lease = store.claim("simulation", key)
-        lease.path.write_text("not json at all")
-        assert store.lease_state("simulation", key) == "stale"
+        key = "fa" * 32
         assert store.claim("simulation", key) is not None
+        # A pid cannot be probed across hosts: only the expiry frees the lease.
+        _set_lease(store, key, pid=_dead_pid(), host="another-host")
+        assert store.lease_state("simulation", key) == "held"
+        assert store.claim("simulation", key) is None
+        _set_lease(store, key, expires_at=time.time() - 1)
+        assert store.claim("simulation", key) is not None
+
+    def test_only_one_of_two_stealers_wins(self, tmp_path, monkeypatch):
+        """Two processes see the same stale lease; the conditional UPDATE picks one."""
+        key = "fb" * 32
+        holder = ResultStore(tmp_path, lease_ttl=0.05)
+        assert holder.claim("simulation", key) is not None
+        time.sleep(0.1)
+        first, second = ResultStore(tmp_path), ResultStore(tmp_path)
+        original = store_module._lease_stale
+        interleaved: list = []
+
+        def stale_then_race(*holder_row):
+            stale = original(*holder_row)
+            if stale and not interleaved:
+                # Between the second stealer's read and its UPDATE, the first
+                # stealer takes the same stale lease.
+                interleaved.append(None)
+                interleaved.append(first.claim("simulation", key))
+            return stale
+
+        monkeypatch.setattr(store_module, "_lease_stale", stale_then_race)
+        assert second.claim("simulation", key) is None
+        winner = interleaved[1]
+        assert winner is not None
+        assert second.lease_state("simulation", key) == "held"
+        assert first.release(winner) is True
 
     def test_release_after_steal_does_not_drop_the_stolen_claim(self, tmp_path):
-        """Regression: release raced a stealer and unlinked the stolen claim.
+        """A late release of a stolen lease returns ``False`` and drops nothing.
 
-        The old check-then-unlink release could read its own token back, lose
-        the CPU while a stealer atomically replaced the file, and then unlink
-        the *stealer's* live claim.  The rename-aside release decides ownership
-        atomically: a late release of a stolen lease returns ``False`` and the
-        stolen claim stays exactly where it was.
+        Release deletes the row only while it still carries the releaser's
+        token, so the stealer's live lease stays exactly where it was.
         """
         key = "ce" * 32
         holder = ResultStore(tmp_path, lease_ttl=0.05)
@@ -116,69 +153,49 @@ class TestLeaseProtocol:
         assert stolen is not None
         assert holder.release(lease) is False
         assert stealer.lease_state("simulation", key) == "held"
-        assert json.loads(stolen.path.read_text())["token"] == stolen.token
-        # No aside debris left behind either way.
-        assert list(stolen.path.parent.glob(".*.tmp")) == []
         assert stealer.release(stolen) is True
+        assert stealer.lease_state("simulation", key) == "free"
 
-    def test_claim_vanishing_at_read_time_reports_free(self, tmp_path, monkeypatch):
-        """Regression: a claim released between exists() and read is *free*.
-
-        ``lease_state`` used to pre-check ``exists()`` and then treat a failed
-        read as corruption (``"stale"``); a release landing in that window made
-        a free slot look stealable.  The single-read implementation must map
-        the vanished file to ``"free"``.
-        """
+    def test_release_twice_returns_false(self, tmp_path):
         store = ResultStore(tmp_path)
-        key = "ba" * 32
-        assert store.claim("simulation", key) is not None
-        original = Path.read_text
+        lease = store.claim("simulation", "cf" * 32)
+        assert store.release(lease) is True
+        assert store.release(lease) is False
 
-        def vanishing_read(self, *args, **kwargs):
-            if self.suffix == ".claim" and self.exists():
-                os.unlink(self)  # the holder releases just before our read
-            return original(self, *args, **kwargs)
+    def test_claim_retries_when_the_holder_releases_mid_claim(self, tmp_path, monkeypatch):
+        """The holder releases between our failed insert and our read: we win."""
+        key = "cd" * 32
+        holder = ResultStore(tmp_path)
+        held = holder.claim("simulation", key)
+        store = ResultStore(tmp_path)
+        connection = store._db()
 
-        monkeypatch.setattr(Path, "read_text", vanishing_read)
-        assert store.lease_state("simulation", key) == "free"
+        class ReleaseAfterFailedInsert:
+            def execute(self, sql, parameters=()):
+                cursor = connection.execute(sql, parameters)
+                if sql.startswith("INSERT OR IGNORE") and cursor.rowcount == 0:
+                    holder.release(held)
+                return cursor
+
+        monkeypatch.setattr(store, "_db", ReleaseAfterFailedInsert)
+        lease = store.claim("simulation", key)
+        monkeypatch.undo()
+        assert lease is not None
+        assert store.lease_state("simulation", key) == "held"
+        assert store.release(lease) is True
 
     def test_lease_ttl_must_be_positive(self, tmp_path):
         with pytest.raises(StoreLeaseError):
             ResultStore(tmp_path, lease_ttl=0)
 
-    def test_claim_result_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        lease = store.claim_result(CONFIG, "chain")
-        assert lease is not None
-        assert store.claim_result(CONFIG, "chain") is None
-        assert store.result_lease_state(CONFIG, "chain") == "held"
-        store.release(lease)
-        assert store.result_lease_state(CONFIG, "chain") == "free"
-
 
 class TestVacuum:
     def test_empty_store_vacuums_clean(self, tmp_path):
         report = ResultStore(tmp_path).vacuum()
-        assert report == VacuumReport(0, 0, 0)
+        assert report == VacuumReport(removed_entries=0, removed_leases=0)
         assert report.total == 0
 
-    def test_sweeps_old_tmp_files_only(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "aa" * 32
-        store.put("simulation", key, _payload(key))
-        shard = store._entry_path("simulation", key).parent
-        orphan = shard / ".deadbeef-12345.tmp"
-        orphan.write_text("half a write")
-        old = time.time() - 7200
-        os.utime(orphan, (old, old))
-        fresh = shard / ".cafebabe-67890.tmp"
-        fresh.write_text("in flight right now")
-        report = store.vacuum()
-        assert report.removed_tmp == 1
-        assert not orphan.exists()
-        assert fresh.exists()
-
-    def test_sweeps_stale_claims_keeps_live_ones(self, tmp_path):
+    def test_sweeps_stale_leases_keeps_live_ones(self, tmp_path):
         key_live, key_stale = "ab" * 32, "cd" * 32
         store = ResultStore(tmp_path)
         live = store.claim("simulation", key_live)
@@ -186,7 +203,7 @@ class TestVacuum:
         assert expiring.claim("simulation", key_stale) is not None
         time.sleep(0.1)
         report = store.vacuum()
-        assert report.removed_claims == 1
+        assert report.removed_leases == 1
         assert store.lease_state("simulation", key_live) == "held"
         assert store.lease_state("simulation", key_stale) == "free"
         store.release(live)
@@ -195,52 +212,69 @@ class TestVacuum:
         store = ResultStore(tmp_path)
         good, bad = "ee" * 32, "ff" * 32
         store.put("simulation", good, _payload(good))
-        bad_path = store._entry_path("simulation", bad)
-        bad_path.parent.mkdir(parents=True, exist_ok=True)
-        valid_body = json.dumps(
-            {"key": bad, "checksum": "wrong", "payload": _payload(bad)}
-        )
-        bad_path.write_text(valid_body[: len(valid_body) // 2])
+        store.put("simulation", bad, _payload(bad))
+        _truncate_payload(store, "simulation", bad)
         report = store.vacuum()
         assert report.removed_entries == 1
-        assert not bad_path.exists()
+        assert store.stats().entries == {"simulation": 1}
         assert store.get("simulation", good) == _payload(good)
 
     def test_racing_remover_is_not_counted(self, tmp_path, monkeypatch):
-        """Regression: vacuum claimed removals a concurrent process performed.
-
-        The old sweep counted an invalid entry the moment validation failed,
-        even when the unlink then raised because another vacuum (or ``get``)
-        had already removed the file.  Each report must count only removals
-        that pass itself performed.
-        """
+        """A row a concurrent process removes first is not this pass's removal."""
         store = ResultStore(tmp_path)
         bad = "fe" * 32
-        bad_path = store._entry_path("simulation", bad)
-        bad_path.parent.mkdir(parents=True, exist_ok=True)
-        bad_path.write_text("truncated")
-        original = ResultStore._read_valid_entry
+        store.put("simulation", bad, _payload(bad))
+        _truncate_payload(store, "simulation", bad)
+        original = store_module._row_valid
 
-        def racing_read(path, key):
-            payload = original(path, key)
-            if payload is None and path.exists():
-                path.unlink()  # a concurrent sweep gets there first
-            return payload
+        def racing_check(checksum, text):
+            valid = original(checksum, text)
+            if not valid:  # a concurrent vacuum deletes the row first
+                with closing(sqlite3.connect(store.path)) as connection, connection:
+                    connection.execute("DELETE FROM entries WHERE key = ?", (bad,))
+            return valid
 
-        monkeypatch.setattr(ResultStore, "_read_valid_entry", staticmethod(racing_read))
+        monkeypatch.setattr(store_module, "_row_valid", racing_check)
         report = store.vacuum()
         assert report.removed_entries == 0
-        assert not bad_path.exists()
+        assert store.stats().entries == {}
+
+    def test_rewritten_row_survives_a_racing_vacuum(self, tmp_path, monkeypatch):
+        """A row rewritten between vacuum's scan and its delete is kept."""
+        store = ResultStore(tmp_path)
+        key = "fd" * 32
+        store.put("simulation", key, _payload(key))
+        _truncate_payload(store, "simulation", key)
+        original = store_module._row_valid
+
+        def racing_check(checksum, text):
+            valid = original(checksum, text)
+            if not valid:  # a concurrent writer re-derives the entry first
+                ResultStore(tmp_path).put("simulation", key, _payload(key))
+            return valid
+
+        monkeypatch.setattr(store_module, "_row_valid", racing_check)
+        assert store.vacuum().removed_entries == 0
+        monkeypatch.undo()
+        assert store.get("simulation", key) == _payload(key)
 
     def test_namespace_filter(self, tmp_path):
         store = ResultStore(tmp_path)
         for namespace in ("simulation", "policy"):
-            path = store._entry_path(namespace, "aa" * 32)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("truncated")
+            store.put(namespace, "aa" * 32, _payload("aa"))
+            _truncate_payload(store, namespace, "aa" * 32)
         report = store.vacuum("policy")
         assert report.removed_entries == 1
-        assert store._entry_path("simulation", "aa" * 32).exists()
+        assert store.stats().entries == {"simulation": 1}
+
+
+def _truncate_payload(store, namespace, key) -> None:
+    with closing(sqlite3.connect(store.path)) as connection, connection:
+        connection.execute(
+            "UPDATE entries SET payload = substr(payload, 1, length(payload) / 2) "
+            "WHERE namespace = ? AND key = ?",
+            (namespace, key),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +299,7 @@ def _hammer_worker(root: str, worker_seed: int, barrier) -> None:
         if loaded is not None and loaded != _payload(key):
             raise AssertionError(f"corrupted read for {key}: {loaded!r}")
         if round_number % 5 == worker_seed % 5:
-            store.vacuum("simulation", tmp_max_age=0.0)
+            store.vacuum("simulation")
 
 
 def _lease_worker(root: str, log_path: str, barrier) -> None:
@@ -285,7 +319,51 @@ def _lease_worker(root: str, log_path: str, barrier) -> None:
             store.release(lease)
 
 
+def _exclusive_worker(root: str, log_path: str, barrier) -> None:
+    """Claim one contended key repeatedly; log each hold as a time interval."""
+    store = ResultStore(root)
+    barrier.wait()
+    held = 0
+    while held < 15:
+        lease = store.claim("simulation", "ee" * 32)
+        if lease is None:
+            continue
+        start = time.monotonic()
+        time.sleep(0.002)
+        end = time.monotonic()
+        assert store.release(lease) is True
+        with open(log_path, "a") as handle:  # O_APPEND: atomic small writes
+            handle.write(f"{start} {end}\n")
+        held += 1
+
+
 class TestProcessHammer:
+    def test_contended_claims_never_overlap(self, tmp_path):
+        """Rows make a claim atomic: no two processes ever hold one key at once."""
+        log_path = tmp_path / "holds.log"
+        log_path.touch()
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(3)
+        processes = [
+            context.Process(
+                target=_exclusive_worker, args=(str(tmp_path / "store"), str(log_path), barrier)
+            )
+            for _ in range(3)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=120)
+        assert all(process.exitcode == 0 for process in processes)
+        holds = sorted(
+            tuple(float(value) for value in line.split())
+            for line in log_path.read_text().splitlines()
+        )
+        assert len(holds) == 45
+        for (_, first_end), (second_start, _) in zip(holds, holds[1:]):
+            assert first_end <= second_start
+
+
     def test_concurrent_put_get_vacuum_never_corrupts(self, tmp_path):
         context = multiprocessing.get_context()
         barrier = context.Barrier(3)
