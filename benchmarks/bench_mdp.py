@@ -4,7 +4,9 @@ Tracks the cost of solving the withhold/override decision process at the two
 truncation levels that matter in practice: the strategy default (``max_lead=60``,
 what every ``strategy="optimal"`` simulation pays once per process and parameter
 point) and the paper's full truncation (``max_lead=200``, the worst case the
-``optimal`` experiment driver can be asked for).  The solve is run uncached
+``optimal`` experiment driver can be asked for), plus the exact evaluation of one
+policy — the MDP side of the reward fold ``test_revenue_evaluation_benchmark`` in
+``bench_engines.py`` times for the analytical model.  The solve is run uncached
 (:class:`~repro.mdp.solver.MdpSolver` directly) so the numbers measure model
 compilation plus relative value iteration plus the exact Dinkelbach evaluations,
 not the cache.
@@ -17,6 +19,8 @@ milliseconds.
 from __future__ import annotations
 
 import os
+
+import pytest
 
 from repro.mdp.solver import MdpSolver
 from repro.params import MiningParams
@@ -69,3 +73,13 @@ def test_mdp_improve_sweep_benchmark(benchmark):
     )
     assert sweeps >= 1
     assert len(policy) == solver.model.num_states
+
+
+def test_mdp_policy_evaluation_benchmark(benchmark):
+    """Exact evaluation of Algorithm 1's policy: chain build, stationary solve, fold."""
+    lead = scaled_lead(60)
+    benchmark.extra_info["max_lead"] = lead
+    solver = MdpSolver(PARAMS, max_lead=lead)
+    policy = solver.model.selfish_policy()
+    evaluation = benchmark(solver.evaluate, policy)
+    assert evaluation.rates.block_rate == pytest.approx(1.0)

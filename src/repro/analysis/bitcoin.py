@@ -99,11 +99,10 @@ class BitcoinSelfishMiningModel:
     * lead > 2, honest block: pool earns 1 (the oldest private block is now safe).
     """
 
-    def __init__(self, *, max_lead: int = DEFAULT_BITCOIN_TRUNCATION, solver_method: str = "direct") -> None:
+    def __init__(self, *, max_lead: int = DEFAULT_BITCOIN_TRUNCATION) -> None:
         if max_lead < 3:
             raise ParameterError(f"max_lead must be at least 3, got {max_lead}")
         self.max_lead = int(max_lead)
-        self.solver_method = solver_method
 
     # ------------------------------------------------------------------ chain
     def states(self) -> list[object]:
@@ -141,7 +140,7 @@ class BitcoinSelfishMiningModel:
         """Solve the chain and apply the deterministic reward attribution."""
         alpha, beta, gamma = params.alpha, params.beta, params.gamma
         chain = self.build_chain(params)
-        stationary = stationary_distribution(chain, method=self.solver_method)
+        stationary = stationary_distribution(chain)
         probabilities: Mapping[object, float] = stationary.as_mapping()
 
         pi_zero = probabilities[0]

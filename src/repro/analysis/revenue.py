@@ -12,22 +12,27 @@ quantities behind every figure and table of the paper's evaluation.
 
 The computation is a single weighted sum: for every transition ``t`` out of state
 ``s``, the expected reward record of ``t`` is weighted by ``pi(s) * rate(t)`` — the
-long-run frequency of that transition — and accumulated.
+long-run frequency of that transition — and the weighted records are settled by
+:func:`~repro.analysis.reward_cases.fold_rewards`.  :func:`stationary_rates` does
+this for any chain over a truncated state space; the MDP policy evaluator calls it
+too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..markov.chain import MarkovChain
-from ..markov.state import State, StateSpace
+from ..markov.state import StateSpace
 from ..markov.stationary import StationaryResult, stationary_distribution
 from ..markov.transitions import SelfishTransition, selfish_mining_transitions
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
-from .reward_cases import TransitionRewards, transition_rewards
+from .reward_cases import REWARD_COMPONENTS, TransitionRewards, fold_rewards, transition_rewards
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,11 @@ class RevenueRates:
         Rate of honest referenced-uncle creation by referencing distance.
     stale_rate:
         Rate of blocks that end up neither regular nor referenced uncles.
+    truncation_mass:
+        Stationary probability of the truncation boundary (states whose private
+        branch has ``max_lead`` blocks), where the pool's extension self-loops.
+        It measures how much the truncation distorts the rates; 0 for rates not
+        computed from a truncated chain.
     """
 
     params: MiningParams
@@ -62,6 +72,7 @@ class RevenueRates:
     honest_uncle_rate: float
     honest_uncle_distance_rates: Mapping[int, float] = field(default_factory=dict)
     stale_rate: float = 0.0
+    truncation_mass: float = 0.0
 
     @property
     def pool(self) -> PartyRewards:
@@ -106,6 +117,52 @@ class RevenueRates:
         }
 
 
+def stationary_rates(
+    params: MiningParams,
+    space: StateSpace,
+    stationary: StationaryResult,
+    transitions: Sequence[SelfishTransition],
+    record_for: Callable[[int], TransitionRewards],
+) -> RevenueRates:
+    """Long-run rates of a chain over ``space`` from its solved ``stationary`` vector.
+
+    Each of ``transitions`` is weighted by its long-run frequency
+    ``pi(source) * rate``; ``record_for(k)`` is asked for the Appendix-B record of
+    ``transitions[k]`` only when that weight is non-zero, and the weighted records
+    are settled by :func:`~repro.analysis.reward_cases.fold_rewards`.  The chain's
+    states must be in ``space`` order.
+    """
+    probabilities = stationary.probabilities
+    index_of = space.index_of
+    sources = [index_of(transition.source) for transition in transitions]
+    weights = np.asarray(probabilities)[sources] * np.asarray([t.rate for t in transitions])
+    live = np.flatnonzero(weights).tolist()
+    # Rows are filled one record at a time so no record outlives its row.
+    components = np.empty((len(live), len(REWARD_COMPONENTS)))
+    distance_rows = []
+    for row, k in enumerate(live):
+        record = record_for(k)
+        components[row] = record.component_vector()
+        distance_rows.append(record.distance_contributions())
+    totals = fold_rewards(weights[live].tolist(), components, distance_rows)
+    boundary = space.max_lead
+    return RevenueRates(
+        params=params,
+        split=RevenueSplit(pool=totals.pool, honest=totals.honest),
+        regular_rate=totals.regular_blocks,
+        uncle_rate=totals.uncle_blocks,
+        pool_uncle_rate=totals.pool_uncle_blocks,
+        honest_uncle_rate=totals.honest_uncle_blocks,
+        honest_uncle_distance_rates=totals.honest_uncle_distance_counts,
+        stale_rate=totals.stale_blocks,
+        truncation_mass=sum(
+            probability
+            for probability, state in zip(probabilities, space)
+            if state.private == boundary
+        ),
+    )
+
+
 class RevenueModel:
     """The analytical revenue engine for one reward schedule and truncation level.
 
@@ -114,15 +171,26 @@ class RevenueModel:
     schedule:
         Reward schedule (defaults to the Ethereum Byzantium rules).
     max_lead:
-        Truncation of the Markov state space.  The truncation error decays roughly
-        like ``(alpha / beta) ** max_lead`` (the pool's lead performs a biased random
-        walk); the default of 60 keeps it below ``1e-8`` across the paper's parameter
-        range except at the extreme corner ``alpha = 0.45, gamma = 0`` where it is of
-        order ``1e-4``.  The paper itself truncates at 200; pass a larger value for
-        tighter tails at the cost of a slower sparse solve.
-    solver_method:
-        Stationary-distribution solver passed through to
-        :func:`repro.markov.stationary.stationary_distribution`.
+        Truncation of the Markov state space: the pool's private branch is capped
+        at ``max_lead`` blocks, and a pool block at the cap self-loops.  The cap is
+        on the private length, not on the lead, so at ``gamma = 0`` — where honest
+        blocks never shorten the race — ``private`` keeps growing during a long
+        race and the boundary carries real mass.  Measured at ``alpha = 0.45``
+        (:attr:`RevenueRates.truncation_mass`, and the error of ``Rs`` against
+        ``max_lead = 300`` for ``gamma = 0``, against ``max_lead = 100`` for
+        ``gamma = 0.5``):
+
+        ======  ========  =============  ==================
+        gamma   max_lead  boundary mass  ``Rs`` error
+        ======  ========  =============  ==================
+        0.0     60        1.6e-2         1.7e-2
+        0.0     200       1.4e-3         1.2e-3
+        0.5     60        1.8e-6         1.9e-6
+        ======  ========  =============  ==================
+
+        The default of 60 is therefore accurate at ``gamma = 0.5`` (Figure 8) but
+        not at the ``gamma = 0``, large-``alpha`` corner; the paper itself
+        truncates at 200.  Check ``truncation_mass`` on the returned rates.
 
     The heavy objects (state space) are created once and reused across parameter
     points, which makes dense ``alpha`` sweeps (Figs. 8-10) cheap.
@@ -131,92 +199,21 @@ class RevenueModel:
     #: Default truncation level; see the class docstring.
     DEFAULT_MAX_LEAD = 60
 
-    def __init__(
-        self,
-        schedule: RewardSchedule | None = None,
-        *,
-        max_lead: int = DEFAULT_MAX_LEAD,
-        solver_method: str = "direct",
-    ) -> None:
+    def __init__(self, schedule: RewardSchedule | None = None, *, max_lead: int = DEFAULT_MAX_LEAD) -> None:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
-        self.solver_method = solver_method
         self._space = StateSpace(self.max_lead)
 
-    # ------------------------------------------------------------------ internals
-    def _labelled_transitions(self, params: MiningParams) -> list[SelfishTransition]:
-        return selfish_mining_transitions(params, self._space)
-
-    def _chain_from(self, labelled: list[SelfishTransition]) -> MarkovChain[State]:
-        return MarkovChain(self._space.states, [t.as_transition() for t in labelled])
-
-    def build_chain(self, params: MiningParams) -> MarkovChain[State]:
-        """The truncated selfish-mining chain at ``params`` over this model's state space."""
-        return self._chain_from(self._labelled_transitions(params))
-
-    def stationary(self, params: MiningParams) -> StationaryResult:
-        """Stationary distribution of the chain at ``params``."""
-        return stationary_distribution(self.build_chain(params), method=self.solver_method)
-
-    def transition_records(self, params: MiningParams) -> list[TransitionRewards]:
-        """All per-transition expected-reward records at ``params``."""
-        return [transition_rewards(t, params, self.schedule) for t in self._labelled_transitions(params)]
-
-    # ------------------------------------------------------------------ public API
-    def revenue_rates(self, params: MiningParams, *, stationary: StationaryResult | None = None) -> RevenueRates:
-        """Compute the long-run revenue and block rates at ``params``.
-
-        Parameters
-        ----------
-        params:
-            The ``(alpha, gamma)`` point to evaluate.
-        stationary:
-            Optionally, a pre-computed stationary distribution (must belong to a chain
-            built over the same truncated state space).
-        """
-        labelled = self._labelled_transitions(params)
-        if stationary is None:
-            chain = self._chain_from(labelled)
-            stationary = stationary_distribution(chain, method=self.solver_method)
-        probabilities = stationary.as_mapping()
-
-        pool = PartyRewards()
-        honest = PartyRewards()
-        regular_rate = 0.0
-        uncle_rate = 0.0
-        pool_uncle_rate = 0.0
-        honest_uncle_rate = 0.0
-        stale_rate = 0.0
-        distance_rates: dict[int, float] = {}
-
-        for transition in labelled:
-            weight = probabilities.get(transition.source, 0.0) * transition.rate
-            if weight == 0.0:
-                continue
-            record = transition_rewards(transition, params, self.schedule)
-            pool = pool + record.pool.scaled(weight)
-            honest = honest + record.honest.scaled(weight)
-            regular_rate += weight * record.regular_probability
-            uncle_rate += weight * record.uncle_probability
-            stale_rate += weight * record.stale_probability
-            pool_uncle_rate += weight * record.uncle_probability * record.pool_mined_probability
-            honest_mined = 1.0 - record.pool_mined_probability
-            honest_uncle_rate += weight * record.uncle_probability * honest_mined
-            if record.uncle_distance is not None and record.uncle_probability > 0.0 and honest_mined > 0.0:
-                distance = record.uncle_distance
-                distance_rates[distance] = distance_rates.get(distance, 0.0) + (
-                    weight * record.uncle_probability * honest_mined
-                )
-
-        return RevenueRates(
-            params=params,
-            split=RevenueSplit(pool=pool, honest=honest),
-            regular_rate=regular_rate,
-            uncle_rate=uncle_rate,
-            pool_uncle_rate=pool_uncle_rate,
-            honest_uncle_rate=honest_uncle_rate,
-            honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
-            stale_rate=stale_rate,
+    def revenue_rates(self, params: MiningParams) -> RevenueRates:
+        """Compute the long-run revenue and block rates at ``params``."""
+        labelled = selfish_mining_transitions(params, self._space)
+        chain = MarkovChain(self._space.states, [t.as_transition() for t in labelled])
+        return stationary_rates(
+            params,
+            self._space,
+            stationary_distribution(chain),
+            labelled,
+            lambda k: transition_rewards(labelled[k], params, self.schedule),
         )
 
     def relative_pool_revenue(self, params: MiningParams) -> float:
@@ -225,10 +222,7 @@ class RevenueModel:
 
     def describe(self) -> str:
         """Short human-readable description of the engine configuration."""
-        return (
-            f"RevenueModel(schedule={type(self.schedule).__name__}, "
-            f"max_lead={self.max_lead}, solver={self.solver_method!r})"
-        )
+        return f"RevenueModel(schedule={type(self.schedule).__name__}, max_lead={self.max_lead})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()

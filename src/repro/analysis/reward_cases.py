@@ -32,23 +32,32 @@ from the paper's Appendix B:
   an uncle at distance ``d``; its nephew reward goes to honest miners with probability
   ``beta**(d-1) * (1 + alpha*beta*(1-gamma))`` and to the pool otherwise;
 * honest blocks that extend a losing honest branch (cases 11, 12) earn nothing.
+
+:func:`fold_rewards` is the one place those records are summed: given one weight
+per transition — a Monte Carlo visit count, or the long-run frequency
+``pi(source) * rate`` — it settles the whole set as a single
+``weights @ component_matrix`` product over :data:`REWARD_COMPONENTS`.  The
+analytical model, the MDP policy evaluator and the compiled-table Monte Carlo
+backend all settle through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import StateSpaceError
 from ..markov.transitions import SelfishTransition, TransitionKind
 from ..params import MiningParams
-from ..rewards.breakdown import PartyRewards, RevenueSplit
+from ..rewards.breakdown import PartyRewards
 from ..rewards.schedule import RewardSchedule
 
 #: Component order of :meth:`TransitionRewards.component_vector`.  The first six
 #: entries are the per-party reward breakdown, the rest the block-classification
-#: probabilities a Monte Carlo run accumulates per event.  The compiled-table
-#: simulator stores one such vector per distinct transition and settles a run as a
-#: single ``visit_counts @ matrix`` product over them.
+#: probabilities a Monte Carlo run accumulates per event.  :func:`fold_rewards`
+#: settles a set of transitions as one ``weights @ matrix`` product over them.
 REWARD_COMPONENTS = (
     "pool_static",
     "pool_uncle",
@@ -101,18 +110,9 @@ class TransitionRewards:
     pool_mined_probability: float
 
     @property
-    def split(self) -> RevenueSplit:
-        """The expected rewards as a :class:`RevenueSplit`."""
-        return RevenueSplit(pool=self.pool, honest=self.honest)
-
-    @property
     def stale_probability(self) -> float:
         """Probability the target block ends up neither regular nor a referenced uncle."""
         return max(0.0, 1.0 - self.regular_probability - self.uncle_probability)
-
-    def weighted(self, weight: float) -> RevenueSplit:
-        """Expected rewards scaled by ``weight`` (stationary probability x rate)."""
-        return RevenueSplit(pool=self.pool.scaled(weight), honest=self.honest.scaled(weight))
 
     def component_vector(self) -> tuple[float, ...]:
         """The record's per-event contributions in :data:`REWARD_COMPONENTS` order.
@@ -140,6 +140,80 @@ class TransitionRewards:
             uncle * (1.0 - pool_mined),
             self.stale_probability,
         )
+
+    def distance_contributions(self) -> tuple[tuple[bool, int, float], ...]:
+        """Per-event referenced-uncle mass by miner and distance.
+
+        Each entry is ``(pool_mined, distance, value)``: the probability the target
+        block becomes a referenced uncle at ``distance`` mined by the pool
+        (``pool_mined``) or by honest miners.  Empty when it can never be one.
+        """
+        distance = self.uncle_distance
+        uncle = self.uncle_probability
+        pool_mined = self.pool_mined_probability
+        if distance is None or uncle <= 0.0:
+            return ()
+        contributions: list[tuple[bool, int, float]] = []
+        if pool_mined < 1.0:
+            contributions.append((False, distance, uncle * (1.0 - pool_mined)))
+        if pool_mined > 0.0:
+            contributions.append((True, distance, uncle * pool_mined))
+        return tuple(contributions)
+
+
+@dataclass(frozen=True)
+class RewardTotals:
+    """Weighted totals of a set of transition records (one scalar per component).
+
+    With visit counts as weights these are a Monte Carlo run's accumulated
+    rewards and block counts; with ``pi(source) * rate`` weights they are the
+    long-run rates per unit time.  The two reward triples and the seven block
+    fields follow :data:`REWARD_COMPONENTS` order.
+    """
+
+    pool: PartyRewards
+    honest: PartyRewards
+    regular_blocks: float
+    pool_regular_blocks: float
+    honest_regular_blocks: float
+    uncle_blocks: float
+    pool_uncle_blocks: float
+    honest_uncle_blocks: float
+    stale_blocks: float
+    honest_uncle_distance_counts: dict[int, float]
+    pool_uncle_distance_counts: dict[int, float]
+
+
+def fold_rewards(
+    weights: Sequence[float],
+    components: Sequence[tuple[float, ...]] | np.ndarray,
+    distance_rows: Sequence[Sequence[tuple[bool, int, float]]],
+) -> RewardTotals:
+    """Settle weighted transition records into :class:`RewardTotals`.
+
+    ``weights[k]`` weighs the ``k``-th record, whose
+    :meth:`~TransitionRewards.component_vector` is ``components[k]`` and whose
+    :meth:`~TransitionRewards.distance_contributions` is ``distance_rows[k]``.  The
+    component totals are one ``weights @ components`` product; the per-distance
+    maps are accumulated in record order, skipping zero weights.
+    """
+    matrix = np.asarray(components, dtype=np.float64).reshape(-1, len(REWARD_COMPONENTS))
+    totals = (np.asarray(weights, dtype=np.float64) @ matrix).tolist()
+    honest_distance: dict[int, float] = {}
+    pool_distance: dict[int, float] = {}
+    for weight, contributions in zip(weights, distance_rows):
+        if not weight:
+            continue
+        for pool_mined, distance, value in contributions:
+            target = pool_distance if pool_mined else honest_distance
+            target[distance] = target.get(distance, 0.0) + weight * value
+    return RewardTotals(
+        PartyRewards(*totals[0:3]),
+        PartyRewards(*totals[3:6]),
+        *totals[6:],
+        honest_uncle_distance_counts=dict(sorted(honest_distance.items())),
+        pool_uncle_distance_counts=dict(sorted(pool_distance.items())),
+    )
 
 
 def _nephew_honest_probability(params: MiningParams, distance: int) -> float:

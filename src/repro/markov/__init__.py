@@ -7,7 +7,7 @@ public branch lengths, Section IV-B).  This subpackage provides:
 * :mod:`repro.markov.state` — the state type and truncated state-space enumeration,
 * :mod:`repro.markov.transitions` — the transition rates of Section IV-C,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
-* :mod:`repro.markov.stationary` — stationary-distribution solvers,
+* :mod:`repro.markov.stationary` — the sparse stationary-distribution solve,
 * :mod:`repro.markov.closed_form` — the closed-form distribution of Eq. (2) and the
   multiple-summation helper ``f(x, y, z)`` of Appendix A.
 """

@@ -2,9 +2,8 @@
 
 Both the paper's 2-dimensional Ethereum chain and the 1-dimensional Eyal–Sirer Bitcoin
 chain are represented with this class: an ordered collection of hashable states plus a
-list of rate-labelled transitions.  The container exposes the generator matrix (for
-continuous-time analysis) and the embedded/uniformised transition-probability matrix
-(for discrete-time solvers), built lazily as scipy sparse matrices.
+list of rate-labelled transitions.  The container exposes the rate and generator
+matrices as scipy sparse matrices.
 
 The chains produced by this package have the convenient property that the total
 outgoing rate of every state equals 1 (each transition corresponds to the creation of
@@ -54,8 +53,7 @@ class MarkovChain(Generic[StateT]):
     ----------
     states:
         Ordered collection of hashable states.  The order fixes the index used in the
-        matrices returned by :meth:`generator_matrix` and
-        :meth:`transition_probability_matrix`.
+        matrices returned by :meth:`rate_matrix` and :meth:`generator_matrix`.
     transitions:
         Iterable of :class:`Transition` objects.  Multiple transitions between the same
         pair of states are allowed and their rates add up.
@@ -105,14 +103,6 @@ class MarkovChain(Generic[StateT]):
         except IndexError as exc:
             raise StateSpaceError(f"index {index} out of range for chain of size {len(self)}") from exc
 
-    def outgoing(self, state: StateT) -> list[Transition[StateT]]:
-        """All transitions leaving ``state``."""
-        return [t for t in self._transitions if t.source == state]
-
-    def outgoing_rate(self, state: StateT) -> float:
-        """Total rate leaving ``state``."""
-        return float(sum(t.rate for t in self.outgoing(state)))
-
     # ------------------------------------------------------------------ matrices
     def rate_matrix(self) -> sparse.csr_matrix:
         """Matrix ``R`` with ``R[i, j]`` the total rate of transitions ``i -> j``.
@@ -143,29 +133,6 @@ class MarkovChain(Generic[StateT]):
         out_rates = np.asarray(rate.sum(axis=1)).ravel()
         generator = rate - sparse.diags(out_rates)
         return generator.tocsr()
-
-    def transition_probability_matrix(self) -> sparse.csr_matrix:
-        """Jump-chain transition probabilities (rows normalised to sum to 1).
-
-        States with no outgoing rate are made absorbing (probability 1 self-loop).
-        """
-        rate = self.rate_matrix().tocsr()
-        out_rates = np.asarray(rate.sum(axis=1)).ravel()
-        size = len(self)
-        inverse = np.zeros(size)
-        positive = out_rates > 0
-        inverse[positive] = 1.0 / out_rates[positive]
-        probabilities = sparse.diags(inverse) @ rate
-        if not positive.all():
-            absorbing = sparse.coo_matrix(
-                (
-                    np.ones(int((~positive).sum())),
-                    (np.where(~positive)[0], np.where(~positive)[0]),
-                ),
-                shape=(size, size),
-            )
-            probabilities = probabilities + absorbing
-        return probabilities.tocsr()
 
     # ------------------------------------------------------------------ validation
     def validate(self, *, expect_unit_exit_rate: bool = False, tolerance: float = 1e-9) -> None:

@@ -1,16 +1,10 @@
-"""Stationary-distribution solvers for finite Markov chains.
+"""The stationary distribution of a finite Markov chain.
 
-Two solvers are provided:
-
-* a direct sparse linear solve of the global balance equations ``pi Q = 0`` with the
-  normalisation ``sum(pi) = 1`` (the default), and
-* a power-iteration fallback on the uniformised transition matrix, useful as an
-  independent cross-check and for extremely large truncations where the direct solve
-  becomes memory-hungry.
-
-Both return a :class:`StationaryResult` that maps states to probabilities and records
-which method produced it plus its residual, so the experiment drivers can report the
-numerical quality alongside the reproduced figures.
+:func:`stationary_distribution` solves the global balance equations ``pi Q = 0``
+with the normalisation ``sum(pi) = 1`` by one sparse direct solve.  It returns a
+:class:`StationaryResult` that maps states to probabilities and records its
+residual, so the experiment drivers can report the numerical quality alongside the
+reproduced figures.
 """
 
 from __future__ import annotations
@@ -22,25 +16,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from ..errors import ConvergenceError, SolverError
+from ..errors import SolverError
 from .chain import MarkovChain
 
 StateT = TypeVar("StateT", bound=Hashable)
 
-#: Default convergence tolerance for the iterative solver.
-DEFAULT_TOLERANCE = 1e-12
-
-#: Default iteration budget for the iterative solver.
-DEFAULT_MAX_ITERATIONS = 200_000
-
 
 @dataclass(frozen=True)
 class StationaryResult(Generic[StateT]):
-    """The stationary distribution of a chain, with solver metadata."""
+    """The stationary distribution of a chain and the residual ``max |pi Q|``."""
 
     chain: MarkovChain[StateT]
     probabilities: tuple[float, ...]
-    method: str
     residual: float
 
     def probability(self, state: StateT) -> float:
@@ -50,13 +37,6 @@ class StationaryResult(Generic[StateT]):
     def __getitem__(self, state: StateT) -> float:
         return self.probability(state)
 
-    def get(self, state: StateT, default: float = 0.0) -> float:
-        """Stationary probability of ``state`` or ``default`` if it is not in the chain."""
-        try:
-            return self.probability(state)
-        except Exception:
-            return default
-
     def as_mapping(self) -> Mapping[StateT, float]:
         """Return a plain ``state -> probability`` dictionary."""
         return {state: self.probabilities[idx] for idx, state in enumerate(self.chain.states)}
@@ -64,10 +44,6 @@ class StationaryResult(Generic[StateT]):
     def total_probability(self) -> float:
         """Sum of all probabilities (should be 1 up to numerical error)."""
         return float(sum(self.probabilities))
-
-    def support(self, threshold: float = 0.0) -> list[StateT]:
-        """States whose probability strictly exceeds ``threshold``."""
-        return [state for idx, state in enumerate(self.chain.states) if self.probabilities[idx] > threshold]
 
 
 def _clean_distribution(vector: np.ndarray) -> np.ndarray:
@@ -87,7 +63,7 @@ def _residual(chain: MarkovChain[StateT], distribution: np.ndarray) -> float:
     return float(np.max(np.abs(distribution @ generator)))
 
 
-def solve_direct(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
+def stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
     """Solve ``pi Q = 0, sum(pi) = 1`` with a sparse LU factorisation.
 
     The singular system ``Q^T pi = 0`` is made non-singular by replacing one
@@ -99,10 +75,9 @@ def solve_direct(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
     from ~45 s to well under a second).  State 0 is this package's start state,
     whose stationary probability is far from zero for every chain built here; a
     chain that starves it makes the solve fail or produce garbage probabilities,
-    which surfaces as :class:`SolverError` (and a power-iteration fallback under
-    ``method="auto"``).  The system is assembled directly in coordinate form and
-    handed to the solver as CSC, avoiding the sparse-format round-trip a row
-    assignment on a CSR/LIL matrix would cost.
+    which surfaces as :class:`SolverError`.  The system is assembled directly in
+    coordinate form and handed to the solver as CSC, avoiding the sparse-format
+    round-trip a row assignment on a CSR/LIL matrix would cost.
     """
     size = len(chain)
     transposed = chain.generator_matrix().transpose().tocoo()
@@ -124,82 +99,5 @@ def solve_direct(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
     return StationaryResult(
         chain=chain,
         probabilities=tuple(distribution.tolist()),
-        method="direct",
         residual=_residual(chain, distribution),
     )
-
-
-def solve_power_iteration(
-    chain: MarkovChain[StateT],
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> StationaryResult[StateT]:
-    """Solve for the stationary distribution by iterating the jump-chain matrix.
-
-    For the chains in this package the jump chain and the continuous-time chain share
-    their stationary distribution because every state has unit exit rate; the solver
-    nevertheless works for general chains by uniformising the generator first.
-    """
-    size = len(chain)
-    rate = chain.rate_matrix()
-    out_rates = np.asarray(rate.sum(axis=1)).ravel()
-    uniform_rate = float(out_rates.max()) if out_rates.size else 1.0
-    if uniform_rate <= 0:
-        raise SolverError("chain has no outgoing rates; cannot uniformise")
-    # Uniformised transition matrix P = I + Q / uniform_rate.
-    generator = chain.generator_matrix()
-    transition = sparse.identity(size, format="csr") + generator / uniform_rate
-
-    distribution = np.full(size, 1.0 / size)
-    for iteration in range(1, max_iterations + 1):
-        updated = distribution @ transition
-        updated = np.asarray(updated).ravel()
-        total = updated.sum()
-        if total <= 0:
-            raise SolverError("power iteration collapsed to the zero vector")
-        updated /= total
-        change = float(np.max(np.abs(updated - distribution)))
-        distribution = updated
-        if change < tolerance:
-            cleaned = _clean_distribution(distribution)
-            return StationaryResult(
-                chain=chain,
-                probabilities=tuple(cleaned.tolist()),
-                method=f"power_iteration[{iteration}]",
-                residual=_residual(chain, cleaned),
-            )
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iterations} iterations (last change above {tolerance})"
-    )
-
-
-def stationary_distribution(
-    chain: MarkovChain[StateT],
-    *,
-    method: str = "direct",
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> StationaryResult[StateT]:
-    """Compute the stationary distribution of ``chain``.
-
-    Parameters
-    ----------
-    chain:
-        The chain to solve.
-    method:
-        ``"direct"`` (sparse LU, default), ``"power"`` (power iteration) or
-        ``"auto"`` (direct with a power-iteration fallback).
-    tolerance, max_iterations:
-        Only used by the iterative solver.
-    """
-    if method == "direct":
-        return solve_direct(chain)
-    if method == "power":
-        return solve_power_iteration(chain, tolerance=tolerance, max_iterations=max_iterations)
-    if method == "auto":
-        try:
-            return solve_direct(chain)
-        except SolverError:
-            return solve_power_iteration(chain, tolerance=tolerance, max_iterations=max_iterations)
-    raise SolverError(f"unknown stationary solver method {method!r}; expected 'direct', 'power' or 'auto'")

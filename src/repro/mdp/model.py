@@ -34,10 +34,12 @@ use no such transition, so their values are exact — the property and integrati
 suites pin this against :class:`~repro.markov.chain.MarkovChain` and against
 Monte-Carlo runs of the extracted strategy.
 
-The compiled arrays mirror :mod:`repro.simulation.tables`: one flat row per
-``(state, decision)`` pair holding the sparse successor distribution and the
-expected one-step pool/total reward, so the solver's Bellman sweeps are plain
-sparse mat-vecs plus a segmented max.
+The compiled arrays hold one flat row per ``(state, decision)`` pair: the sparse
+successor distribution and the expected one-step pool/total reward, so the
+solver's Bellman sweeps are plain sparse mat-vecs plus a segmented max.  Each
+:class:`MdpAction` also keeps its Appendix-B records; the exact evaluation of a
+policy settles them through :func:`repro.analysis.revenue.stationary_rates`, the
+fold the analytical model uses, rather than through these one-step sums.
 """
 
 from __future__ import annotations

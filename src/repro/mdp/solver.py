@@ -11,11 +11,11 @@ averages — so the solve is the classic two-level scheme for ratio objectives
    policy of the converged values is the improving policy.
 2. **Outer level** (:meth:`MdpSolver.solve`): evaluate the improving policy
    *exactly* — build the induced :class:`~repro.markov.chain.MarkovChain`, solve
-   its stationary distribution with the package's sparse solver, and accumulate
-   the Appendix-B reward records into :class:`~repro.analysis.revenue.RevenueRates`
-   (the same arithmetic :class:`~repro.analysis.revenue.RevenueModel` performs for
-   Algorithm 1, so a policy pinned to the selfish decisions reproduces the paper's
-   revenue to solver precision).  The evaluated share becomes the next ``rho``.
+   its stationary distribution with the package's sparse solver, and settle the
+   Appendix-B reward records into :class:`~repro.analysis.revenue.RevenueRates`
+   through the fold :class:`~repro.analysis.revenue.RevenueModel` uses for
+   Algorithm 1, so a policy pinned to the selfish decisions reproduces the
+   paper's revenue bit for bit.  The evaluated share becomes the next ``rho``.
 
 The share sequence is non-decreasing and strictly increases until the optimal
 policy is found (policy-improvement monotonicity — pinned by the property suite),
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.revenue import RevenueRates
+from ..analysis.revenue import RevenueRates, stationary_rates
 from ..errors import ConvergenceError, ParameterError
 from ..markov.chain import MarkovChain
 from ..markov.state import State
@@ -181,64 +181,19 @@ class MdpSolver:
         """Exact long-run rates of ``policy`` (flat action index per state).
 
         Builds the induced Markov chain, solves its stationary distribution with
-        the package's sparse direct solver, and accumulates the per-transition
-        Appendix-B records — the identical arithmetic
-        :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` performs, so the
-        selfish-pinned policy reproduces the paper's revenue exactly.
+        the package's sparse direct solver, and settles the chosen actions'
+        Appendix-B records through :func:`repro.analysis.revenue.stationary_rates`
+        — the call :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` makes
+        for Algorithm 1, so the selfish-pinned policy reproduces the paper's
+        revenue exactly.
         """
         model = self.model
         chosen = [model.actions[int(flat)] for flat in policy]
-        chain = MarkovChain(
-            model.space.states,
-            [t.as_transition() for action in chosen for t in action.transitions],
-        )
-        stationary = stationary_distribution(chain, method="direct")
-        probabilities = stationary.probabilities
-
-        pool = PartyRewards()
-        honest = PartyRewards()
-        regular_rate = 0.0
-        uncle_rate = 0.0
-        pool_uncle_rate = 0.0
-        honest_uncle_rate = 0.0
-        stale_rate = 0.0
-        distance_rates: dict[int, float] = {}
-        for state_index, action in enumerate(chosen):
-            occupancy = probabilities[state_index]
-            if occupancy == 0.0:
-                continue
-            for transition, record in zip(action.transitions, action.records):
-                weight = occupancy * transition.rate
-                if weight == 0.0:
-                    continue
-                pool = pool + record.pool.scaled(weight)
-                honest = honest + record.honest.scaled(weight)
-                regular_rate += weight * record.regular_probability
-                uncle_rate += weight * record.uncle_probability
-                stale_rate += weight * record.stale_probability
-                pool_uncle_rate += weight * record.uncle_probability * record.pool_mined_probability
-                honest_mined = 1.0 - record.pool_mined_probability
-                honest_uncle_rate += weight * record.uncle_probability * honest_mined
-                if (
-                    record.uncle_distance is not None
-                    and record.uncle_probability > 0.0
-                    and honest_mined > 0.0
-                ):
-                    distance = record.uncle_distance
-                    distance_rates[distance] = distance_rates.get(distance, 0.0) + (
-                        weight * record.uncle_probability * honest_mined
-                    )
-
-        rates = RevenueRates(
-            params=self.params,
-            split=RevenueSplit(pool=pool, honest=honest),
-            regular_rate=regular_rate,
-            uncle_rate=uncle_rate,
-            pool_uncle_rate=pool_uncle_rate,
-            honest_uncle_rate=honest_uncle_rate,
-            honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
-            stale_rate=stale_rate,
-        )
+        transitions = [t for action in chosen for t in action.transitions]
+        records = [r for action in chosen for r in action.records]
+        chain = MarkovChain(model.space.states, [t.as_transition() for t in transitions])
+        stationary = stationary_distribution(chain)
+        rates = stationary_rates(self.params, model.space, stationary, transitions, records.__getitem__)
         return PolicyEvaluation(rates=rates, residual=stationary.residual)
 
     def evaluate_decisions(self, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:
@@ -434,6 +389,7 @@ def _policy_payload(result: OptimalPolicyResult) -> dict:
                 for distance, rate in sorted(rates.honest_uncle_distance_rates.items())
             },
             "stale_rate": rates.stale_rate,
+            "truncation_mass": rates.truncation_mass,
         },
         "shares": list(result.shares),
         "rvi_iterations": result.rvi_iterations,
@@ -458,6 +414,7 @@ def _policy_from_payload(payload: dict) -> OptimalPolicyResult:
             for distance, rate in revenue["honest_uncle_distance_rates"].items()
         },
         stale_rate=revenue["stale_rate"],
+        truncation_mass=revenue["truncation_mass"],
     )
     return OptimalPolicyResult(
         params=params,

@@ -17,7 +17,9 @@ compile time:
   computed once per transition instead of once per event;
 * the chain walk then only compares a buffered uniform draw against the cumulative
   thresholds and increments an integer visit count, and a whole run is settled at
-  the end as a single ``counts @ reward_matrix`` product.
+  the end by :func:`~repro.analysis.reward_cases.fold_rewards` — a single
+  ``counts @ reward_matrix`` product, the fold the analytical model settles its
+  long-run rates with.
 
 Because the thresholds are the scalar sampler's partial sums and the uniforms come
 from the same :class:`~repro.simulation.rng.RandomSource` stream, the sampled
@@ -32,16 +34,14 @@ states a run actually visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..analysis.reward_cases import REWARD_COMPONENTS, transition_rewards
+from ..analysis.reward_cases import REWARD_COMPONENTS, RewardTotals, fold_rewards, transition_rewards
 from ..markov.state import State, decode_state
 from ..markov.transitions import SelfishTransition, transitions_from_state
 from ..params import MiningParams
-from ..rewards.breakdown import PartyRewards
 from ..rewards.schedule import RewardSchedule
 from .rng import RandomSource
 
@@ -52,23 +52,6 @@ _THRESHOLDS, _TARGETS, _BASE, _LAST, _CODE = range(5)
 
 #: Uniform draws fetched from the random source per walk chunk.
 WALK_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class TableSettlement:
-    """Accumulated totals of a compiled-table walk (one scalar per component)."""
-
-    pool: PartyRewards
-    honest: PartyRewards
-    regular_blocks: float
-    pool_regular_blocks: float
-    honest_regular_blocks: float
-    uncle_blocks: float
-    pool_uncle_blocks: float
-    honest_uncle_blocks: float
-    stale_blocks: float
-    honest_uncle_distance_counts: dict[int, float]
-    pool_uncle_distance_counts: dict[int, float]
 
 
 class CompiledTransitionTables:
@@ -107,8 +90,7 @@ class CompiledTransitionTables:
         self._rows: dict[int, list] = {}
         self._transitions: list[SelfishTransition] = []
         self._component_rows: list[tuple[float, ...]] = []
-        # Per-transition uncle-distance contributions: (pool_mined, distance, value).
-        self._distance_rows: list[list[tuple[bool, int, float]]] = []
+        self._distance_rows: list[tuple[tuple[bool, int, float], ...]] = []
 
     # ------------------------------------------------------------------ compilation
     @property
@@ -152,16 +134,7 @@ class CompiledTransitionTables:
         for transition in transitions:
             record = transition_rewards(transition, self.params, self.schedule)
             self._component_rows.append(record.component_vector())
-            contributions: list[tuple[bool, int, float]] = []
-            distance = record.uncle_distance
-            uncle = record.uncle_probability
-            pool_mined = record.pool_mined_probability
-            if distance is not None and uncle > 0.0:
-                if pool_mined < 1.0:
-                    contributions.append((False, distance, uncle * (1.0 - pool_mined)))
-                if pool_mined > 0.0:
-                    contributions.append((True, distance, uncle * pool_mined))
-            self._distance_rows.append(contributions)
+            self._distance_rows.append(record.distance_contributions())
         self._transitions.extend(transitions)
         row = [
             tuple(thresholds),
@@ -217,44 +190,11 @@ class CompiledTransitionTables:
     # ------------------------------------------------------------------ settlement
     def reward_matrix(self) -> np.ndarray:
         """The compiled ``(num_transitions, len(REWARD_COMPONENTS))`` reward matrix."""
-        if not self._component_rows:
-            return np.empty((0, len(REWARD_COMPONENTS)), dtype=np.float64)
-        return np.asarray(self._component_rows, dtype=np.float64)
+        return np.asarray(self._component_rows, dtype=np.float64).reshape(-1, len(REWARD_COMPONENTS))
 
-    def settle(self, counts: list[int]) -> TableSettlement:
+    def settle(self, counts: list[int]) -> RewardTotals:
         """Fold per-transition visit counts into run totals (``counts @ matrix``)."""
-        count_vector = np.asarray(counts, dtype=np.float64)
-        totals = count_vector @ self.reward_matrix()
-        by_name = dict(zip(REWARD_COMPONENTS, totals.tolist()))
-        honest_distance: dict[int, float] = {}
-        pool_distance: dict[int, float] = {}
-        for count, contributions in zip(counts, self._distance_rows):
-            if not count:
-                continue
-            for pool_mined, distance, value in contributions:
-                target = pool_distance if pool_mined else honest_distance
-                target[distance] = target.get(distance, 0.0) + count * value
-        return TableSettlement(
-            pool=PartyRewards(
-                static=by_name["pool_static"],
-                uncle=by_name["pool_uncle"],
-                nephew=by_name["pool_nephew"],
-            ),
-            honest=PartyRewards(
-                static=by_name["honest_static"],
-                uncle=by_name["honest_uncle"],
-                nephew=by_name["honest_nephew"],
-            ),
-            regular_blocks=by_name["regular"],
-            pool_regular_blocks=by_name["pool_regular"],
-            honest_regular_blocks=by_name["honest_regular"],
-            uncle_blocks=by_name["uncle"],
-            pool_uncle_blocks=by_name["pool_uncle_blocks"],
-            honest_uncle_blocks=by_name["honest_uncle_blocks"],
-            stale_blocks=by_name["stale"],
-            honest_uncle_distance_counts=dict(sorted(honest_distance.items())),
-            pool_uncle_distance_counts=dict(sorted(pool_distance.items())),
-        )
+        return fold_rewards(counts, self.reward_matrix(), self._distance_rows)
 
     def describe(self) -> str:
         """Short human-readable summary of the compiled tables."""

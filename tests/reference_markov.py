@@ -1,17 +1,31 @@
-"""The per-event scalar Markov Monte Carlo: the oracle for ``MarkovMonteCarlo``.
+"""Scalar oracles for the Markov layer: Monte Carlo, stationary solve and revenue.
 
-One uniform draw per event picks the next transition by cumulative rate, and the
-expected rewards of Appendix B are added to running totals event by event.  The
-compiled-table walk must sample the identical transition sequence from the same
-seed and agree on every total to float-reassociation accuracy.
+* :func:`scalar_markov_run` is the per-event Markov Monte Carlo, the oracle for
+  ``MarkovMonteCarlo``: one uniform draw per event picks the next transition by
+  cumulative rate, and the expected rewards of Appendix B are added to running
+  totals event by event.  The compiled-table walk must sample the identical
+  transition sequence from the same seed and agree on every total to
+  float-reassociation accuracy.
+* :func:`solve_power_iteration` iterates the uniformised transition matrix, an
+  independent cross-check of the sparse direct ``stationary_distribution``.
+* :func:`scalar_revenue_rates` accumulates the long-run rates one transition at a
+  time, the oracle for the ``fold_rewards`` product ``RevenueModel`` settles with.
 """
 
 from __future__ import annotations
 
+import numpy as np
+from scipy import sparse
+
+from repro.analysis.revenue import RevenueModel, RevenueRates
 from repro.analysis.reward_cases import transition_rewards
-from repro.markov.state import State
-from repro.markov.transitions import transitions_from_state
-from repro.rewards.breakdown import PartyRewards
+from repro.errors import ConvergenceError
+from repro.markov.chain import MarkovChain
+from repro.markov.state import State, StateSpace
+from repro.markov.stationary import StationaryResult, stationary_distribution
+from repro.markov.transitions import selfish_mining_transitions, transitions_from_state
+from repro.params import MiningParams
+from repro.rewards.breakdown import PartyRewards, RevenueSplit
 from repro.simulation.config import SimulationConfig
 from repro.simulation.fast import UNBOUNDED_LEAD
 from repro.simulation.metrics import SimulationResult
@@ -103,3 +117,77 @@ def scalar_markov_run(
         pool_uncle_distance_counts=dict(sorted(distance_counts["pool"].items())),
     )
     return result, state
+
+
+def solve_power_iteration(
+    chain: MarkovChain, *, tolerance: float = 1e-12, max_iterations: int = 200_000
+) -> StationaryResult:
+    """Stationary distribution by iterating the uniformised matrix ``P = I + Q / q``."""
+    size = len(chain)
+    generator = chain.generator_matrix()
+    uniform_rate = float(np.asarray(chain.rate_matrix().sum(axis=1)).max())
+    transition = sparse.identity(size, format="csr") + generator / uniform_rate
+    distribution = np.full(size, 1.0 / size)
+    for _ in range(max_iterations):
+        updated = np.asarray(distribution @ transition).ravel()
+        updated /= updated.sum()
+        change = float(np.max(np.abs(updated - distribution)))
+        distribution = updated
+        if change < tolerance:
+            return StationaryResult(
+                chain=chain,
+                probabilities=tuple(distribution.tolist()),
+                residual=float(np.max(np.abs(distribution @ generator))),
+            )
+    raise ConvergenceError(f"power iteration did not converge within {max_iterations} iterations")
+
+
+def scalar_revenue_rates(model: RevenueModel, params: MiningParams) -> RevenueRates:
+    """``model``'s long-run rates at ``params``, accumulated one transition at a time."""
+    space = StateSpace(model.max_lead)
+    labelled = selfish_mining_transitions(params, space)
+    chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
+    stationary = stationary_distribution(chain)
+    probabilities = stationary.as_mapping()
+
+    pool = PartyRewards()
+    honest = PartyRewards()
+    regular_rate = 0.0
+    uncle_rate = 0.0
+    pool_uncle_rate = 0.0
+    honest_uncle_rate = 0.0
+    stale_rate = 0.0
+    distance_rates: dict[int, float] = {}
+
+    for transition in labelled:
+        weight = probabilities.get(transition.source, 0.0) * transition.rate
+        if weight == 0.0:
+            continue
+        record = transition_rewards(transition, params, model.schedule)
+        pool = pool + record.pool.scaled(weight)
+        honest = honest + record.honest.scaled(weight)
+        regular_rate += weight * record.regular_probability
+        uncle_rate += weight * record.uncle_probability
+        stale_rate += weight * record.stale_probability
+        pool_uncle_rate += weight * record.uncle_probability * record.pool_mined_probability
+        honest_mined = 1.0 - record.pool_mined_probability
+        honest_uncle_rate += weight * record.uncle_probability * honest_mined
+        if record.uncle_distance is not None and record.uncle_probability > 0.0 and honest_mined > 0.0:
+            distance = record.uncle_distance
+            distance_rates[distance] = distance_rates.get(distance, 0.0) + (
+                weight * record.uncle_probability * honest_mined
+            )
+
+    return RevenueRates(
+        params=params,
+        split=RevenueSplit(pool=pool, honest=honest),
+        regular_rate=regular_rate,
+        uncle_rate=uncle_rate,
+        pool_uncle_rate=pool_uncle_rate,
+        honest_uncle_rate=honest_uncle_rate,
+        honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
+        stale_rate=stale_rate,
+        truncation_mass=sum(
+            stationary.probability(state) for state in space if state.private == model.max_lead
+        ),
+    )

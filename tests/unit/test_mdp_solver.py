@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.revenue import RevenueModel
@@ -35,6 +37,16 @@ class TestPolicyEvaluation:
             )
             assert evaluation.rates.uncle_rate == pytest.approx(expected.uncle_rate, abs=1e-12)
             assert evaluation.rates.stale_rate == pytest.approx(expected.stale_rate, abs=1e-12)
+
+    def test_selfish_pinned_equals_the_revenue_model_field_by_field(self):
+        # Both settle through the same fold over the same chain, so nothing may differ.
+        model = RevenueModel(max_lead=MAX_LEAD)
+        for alpha, gamma in [(0.2, 0.3), (0.35, 0.0), (0.45, 1.0)]:
+            solver = solver_at(alpha, gamma)
+            evaluated = solver.evaluate(solver.model.selfish_policy()).rates
+            expected = model.revenue_rates(MiningParams(alpha=alpha, gamma=gamma))
+            for field in dataclasses.fields(expected):
+                assert getattr(evaluated, field.name) == getattr(expected, field.name), field.name
 
     def test_honest_pinned_earns_exactly_alpha(self):
         for alpha in (0.1, 0.3, 0.45):

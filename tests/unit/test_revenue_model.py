@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from reference_markov import scalar_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
 from repro.params import MiningParams
@@ -112,13 +113,6 @@ class TestTruncationAndReuse:
         fine = RevenueModel(EthereumByzantiumSchedule(), max_lead=60).revenue_rates(params)
         assert abs(fine.pool.total - reference.pool.total) < abs(coarse.pool.total - reference.pool.total)
 
-    def test_precomputed_stationary_can_be_reused(self, ethereum_model):
-        params = MiningParams(alpha=0.3, gamma=0.5)
-        stationary = ethereum_model.stationary(params)
-        direct = ethereum_model.revenue_rates(params)
-        reused = ethereum_model.revenue_rates(params, stationary=stationary)
-        assert direct.split.isclose(reused.split)
-
     def test_relative_revenue_shortcut(self, ethereum_model):
         params = MiningParams(alpha=0.3, gamma=0.5)
         assert ethereum_model.relative_pool_revenue(params) == pytest.approx(
@@ -129,3 +123,75 @@ class TestTruncationAndReuse:
         text = ethereum_model.describe()
         assert "EthereumByzantiumSchedule" in text
         assert "max_lead=60" in text
+
+
+#: The figure-8 alpha grid (0.0 to 0.45 in steps of 0.05).
+FIGURE8_ALPHAS = [round(0.05 * k, 2) for k in range(10)]
+
+
+class TestRewardFoldOracle:
+    """The one-product fold agrees with the per-transition scalar accumulation."""
+
+    @pytest.mark.parametrize("schedule", [EthereumByzantiumSchedule(), FlatUncleSchedule(0.5)], ids=type)
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_every_field_matches_the_scalar_loop(self, schedule, gamma):
+        model = RevenueModel(schedule, max_lead=30)
+        for alpha in FIGURE8_ALPHAS:
+            params = MiningParams(alpha=alpha, gamma=gamma)
+            folded = model.revenue_rates(params)
+            scalar = scalar_revenue_rates(model, params)
+            for name in ("static", "uncle", "nephew"):
+                assert getattr(folded.pool, name) == pytest.approx(getattr(scalar.pool, name), abs=1e-12)
+                assert getattr(folded.honest, name) == pytest.approx(getattr(scalar.honest, name), abs=1e-12)
+            for name in (
+                "regular_rate",
+                "uncle_rate",
+                "pool_uncle_rate",
+                "honest_uncle_rate",
+                "stale_rate",
+                "truncation_mass",
+            ):
+                assert getattr(folded, name) == pytest.approx(getattr(scalar, name), abs=1e-12), name
+            assert list(folded.honest_uncle_distance_rates) == list(scalar.honest_uncle_distance_rates)
+            for distance, rate in scalar.honest_uncle_distance_rates.items():
+                assert folded.honest_uncle_distance_rates[distance] == pytest.approx(rate, abs=1e-12)
+
+
+class TestMeasuredTruncation:
+    """Pins the truncation table of the ``RevenueModel`` docstring within a factor of 2.
+
+    The cap is on the private branch, so at ``gamma = 0`` the boundary carries real
+    mass and ``Rs`` is off by about that much; at ``gamma = 0.5`` it is negligible.
+    """
+
+    ALPHA = 0.45
+
+    def rates(self, gamma: float, max_lead: int):
+        return RevenueModel(max_lead=max_lead).revenue_rates(MiningParams(alpha=self.ALPHA, gamma=gamma))
+
+    @staticmethod
+    def assert_within_factor_two(measured: float, documented: float) -> None:
+        assert documented / 2 <= measured <= documented * 2
+
+    def test_gamma_zero_boundary_mass_and_error(self):
+        reference = self.rates(0.0, 300).relative_pool_revenue
+        for max_lead, mass, error in ((60, 1.6e-2, 1.7e-2), (200, 1.4e-3, 1.2e-3)):
+            rates = self.rates(0.0, max_lead)
+            self.assert_within_factor_two(rates.truncation_mass, mass)
+            self.assert_within_factor_two(abs(rates.relative_pool_revenue - reference), error)
+
+    def test_gamma_zero_boundary_mass_falls_with_alpha(self):
+        model = RevenueModel(max_lead=60)
+        for alpha, mass in ((0.3, 9e-8), (0.2, 2.7e-15)):
+            rates = model.revenue_rates(MiningParams(alpha=alpha, gamma=0.0))
+            self.assert_within_factor_two(rates.truncation_mass, mass)
+
+    def test_gamma_half_boundary_mass_and_error(self):
+        # max_lead = 100 stands in for 300 here: its own boundary mass is below 1e-8.
+        reference = self.rates(0.5, 100)
+        assert reference.truncation_mass < 1e-8
+        rates = self.rates(0.5, 60)
+        self.assert_within_factor_two(rates.truncation_mass, 1.8e-6)
+        self.assert_within_factor_two(
+            abs(rates.relative_pool_revenue - reference.relative_pool_revenue), 1.9e-6
+        )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reward_cases import transition_rewards
+from repro.analysis.reward_cases import REWARD_COMPONENTS, fold_rewards, transition_rewards
 from repro.markov.state import State
 from repro.markov.transitions import TransitionKind, transitions_from_state
 from repro.params import MiningParams
@@ -162,8 +162,33 @@ class TestConservationAndSchedules:
                 assert record.pool.uncle == record.honest.uncle == 0.0
                 assert record.pool.nephew == record.honest.nephew == 0.0
 
-    def test_weighted_scales_both_parties(self):
-        record = record_for(State(1, 0), TransitionKind.HONEST_FORCES_TIE)
-        weighted = record.weighted(0.5)
-        assert weighted.pool.isclose(record.pool.scaled(0.5))
-        assert weighted.honest.isclose(record.honest.scaled(0.5))
+
+class TestRewardFold:
+    def test_distance_contributions_split_the_uncle_mass_by_miner(self):
+        tie = record_for(State(1, 0), TransitionKind.HONEST_FORCES_TIE)
+        assert tie.distance_contributions() == ((False, 1, ALPHA + BETA * GAMMA),)
+        hidden = record_for(State(0, 0), TransitionKind.POOL_HIDES_FIRST_BLOCK)
+        assert hidden.distance_contributions() == ((True, 1, BETA * BETA * (1.0 - GAMMA)),)
+        assert record_for(State(1, 1), TransitionKind.TIE_RESOLVED).distance_contributions() == ()
+
+    def test_fold_weighs_each_record_and_skips_zero_weights(self):
+        tie = record_for(State(1, 0), TransitionKind.HONEST_FORCES_TIE)
+        long_lead = record_for(State(5, 1), TransitionKind.HONEST_ON_PREFIX_LONG_LEAD)
+        records = [tie, long_lead]
+        totals = fold_rewards(
+            [3, 0],
+            [record.component_vector() for record in records],
+            [record.distance_contributions() for record in records],
+        )
+        by_name = dict(zip(REWARD_COMPONENTS, tie.component_vector()))
+        assert totals.honest.static == 3 * by_name["honest_static"]
+        assert totals.pool.nephew == 3 * by_name["pool_nephew"]
+        assert totals.uncle_blocks == 3 * by_name["uncle"]
+        assert totals.honest_uncle_distance_counts == {1: 3 * (ALPHA + BETA * GAMMA)}
+        assert totals.pool_uncle_distance_counts == {}
+
+    def test_fold_of_no_records_is_zero(self):
+        totals = fold_rewards([], [], [])
+        assert totals.pool.total == totals.honest.total == 0.0
+        assert totals.regular_blocks == totals.stale_blocks == 0.0
+        assert totals.honest_uncle_distance_counts == totals.pool_uncle_distance_counts == {}
