@@ -20,8 +20,10 @@ import pytest
 from repro.analysis.absolute import Scenario
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.threshold import profitable_threshold
+from repro.markov.chain import MarkovChain
+from repro.markov.state import LumpedSpace
 from repro.markov.stationary import stationary_distribution
-from repro.markov.transitions import build_selfish_mining_chain
+from repro.markov.transitions import selfish_mining_transitions
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
 from repro.simulation.config import SimulationConfig
@@ -41,11 +43,10 @@ def scaled(blocks: int) -> int:
 
 @pytest.mark.parametrize("max_lead", [60, 200])
 def test_stationary_solve_benchmark(benchmark, max_lead):
-    chain = build_selfish_mining_chain(PARAMS, max_lead=max_lead)
-    if max_lead >= 200:
-        result = benchmark.pedantic(stationary_distribution, args=(chain,), rounds=1, iterations=1)
-    else:
-        result = benchmark(stationary_distribution, chain)
+    """The stationary solve of the lumped chain ``RevenueModel`` solves."""
+    space = LumpedSpace(max_lead)
+    chain = MarkovChain(space.states, [t.as_transition() for t in selfish_mining_transitions(PARAMS, space)])
+    result = benchmark(stationary_distribution, chain)
     assert result.total_probability() == pytest.approx(1.0)
 
 

@@ -2,7 +2,7 @@
 
 :class:`RevenueModel` combines the three ingredients of the analysis:
 
-1. the truncated Markov chain and its stationary distribution (:mod:`repro.markov`),
+1. the lumped Markov chain and its stationary distribution (:mod:`repro.markov`),
 2. the per-transition expected rewards (:mod:`repro.analysis.reward_cases`),
 3. a reward schedule (:mod:`repro.rewards.schedule`),
 
@@ -15,7 +15,7 @@ The computation is a single weighted sum: for every transition ``t`` out of stat
 long-run frequency of that transition — and the weighted records are settled by
 :func:`~repro.analysis.reward_cases.fold_rewards`.  :func:`stationary_rates` does
 this for any chain over a truncated state space; the MDP policy evaluator calls it
-too.
+too, on the ``(Ls, Lh)`` space.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..markov.chain import MarkovChain
-from ..markov.state import StateSpace
+from ..markov.state import LumpedSpace, StateSpace
 from ..markov.stationary import StationaryResult, stationary_distribution
 from ..markov.transitions import SelfishTransition, selfish_mining_transitions
 from ..params import MiningParams
@@ -58,9 +58,10 @@ class RevenueRates:
     stale_rate:
         Rate of blocks that end up neither regular nor referenced uncles.
     truncation_mass:
-        Stationary probability of the truncation boundary (states whose private
-        branch has ``max_lead`` blocks), where the pool's extension self-loops.
-        It measures how much the truncation distorts the rates; 0 for rates not
+        Stationary probability of the truncation boundary, the states whose pool
+        extension self-loops: lead ``max_lead`` for :class:`RevenueModel`,
+        private branch ``max_lead`` for the MDP's ``(Ls, Lh)`` space.  It
+        measures how much the truncation distorts the rates; 0 for rates not
         computed from a truncated chain.
     """
 
@@ -145,7 +146,6 @@ def stationary_rates(
         components[row] = record.component_vector()
         distance_rows.append(record.distance_contributions())
     totals = fold_rewards(weights[live].tolist(), components, distance_rows)
-    boundary = space.max_lead
     return RevenueRates(
         params=params,
         split=RevenueSplit(pool=totals.pool, honest=totals.honest),
@@ -156,9 +156,7 @@ def stationary_rates(
         honest_uncle_distance_rates=totals.honest_uncle_distance_counts,
         stale_rate=totals.stale_blocks,
         truncation_mass=sum(
-            probability
-            for probability, state in zip(probabilities, space)
-            if state.private == boundary
+            probability for probability, state in zip(probabilities, space) if space.on_boundary(state)
         ),
     )
 
@@ -166,34 +164,35 @@ def stationary_rates(
 class RevenueModel:
     """The analytical revenue engine for one reward schedule and truncation level.
 
+    The paper's chain over ``(Ls, Lh)`` is solved in its exact ``(lead, forked)``
+    lumping (:class:`~repro.markov.state.LumpedSpace`): ``2 * max_lead + 1``
+    states instead of ``O(max_lead**2)``.  Each transition out of ``(i, j)``, its
+    rate, the class it lands in and its Appendix-B record depend on ``(i, j)`` only
+    through the lead ``d = i - j`` and whether ``j == 0``:
+
+    * cases 7 and 11 both go to lead ``d - 1`` with ``j >= 1``;
+    * case 10 goes from ``(d, 0)`` to lead ``d - 1``, forked;
+    * :func:`~repro.analysis.reward_cases.transition_rewards` reads
+      ``source.lead``, and ``source.private`` only in case 10, where ``j == 0``
+      makes it equal to the lead.
+
+    So the chain is strongly lumpable, and solving the representatives gives the
+    rates of the unlumped chain with its lead capped instead of its private branch.
+
     Parameters
     ----------
     schedule:
         Reward schedule (defaults to the Ethereum Byzantium rules).
     max_lead:
-        Truncation of the Markov state space: the pool's private branch is capped
-        at ``max_lead`` blocks, and a pool block at the cap self-loops.  The cap is
-        on the private length, not on the lead, so at ``gamma = 0`` — where honest
-        blocks never shorten the race — ``private`` keeps growing during a long
-        race and the boundary carries real mass.  Measured at ``alpha = 0.45``
-        (:attr:`RevenueRates.truncation_mass`, and the error of ``Rs`` against
-        ``max_lead = 300`` for ``gamma = 0``, against ``max_lead = 100`` for
-        ``gamma = 0.5``):
+        Cap on the pool's lead; a pool block at the cap self-loops.  The lead is a
+        biased random walk, so the boundary mass
+        (:attr:`RevenueRates.truncation_mass`) is about ``(alpha / beta) **
+        max_lead`` whatever gamma is.  Measured at ``alpha = 0.45``, the same for
+        every gamma: 8.7e-7 at ``max_lead = 60`` (``Rs`` off by 9.5e-7 at
+        ``gamma = 0.5``) and 5.5e-19 at 200; at ``alpha = 0.3`` and
+        ``max_lead = 60``, 3.4e-23.
 
-        ======  ========  =============  ==================
-        gamma   max_lead  boundary mass  ``Rs`` error
-        ======  ========  =============  ==================
-        0.0     60        1.6e-2         1.7e-2
-        0.0     200       1.4e-3         1.2e-3
-        0.5     60        1.8e-6         1.9e-6
-        ======  ========  =============  ==================
-
-        The default of 60 is therefore accurate at ``gamma = 0.5`` (Figure 8) but
-        not at the ``gamma = 0``, large-``alpha`` corner; the paper itself
-        truncates at 200.  Check ``truncation_mass`` on the returned rates.
-
-    The heavy objects (state space) are created once and reused across parameter
-    points, which makes dense ``alpha`` sweeps (Figs. 8-10) cheap.
+    The state space is built once and reused across parameter points.
     """
 
     #: Default truncation level; see the class docstring.
@@ -202,7 +201,7 @@ class RevenueModel:
     def __init__(self, schedule: RewardSchedule | None = None, *, max_lead: int = DEFAULT_MAX_LEAD) -> None:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
-        self._space = StateSpace(self.max_lead)
+        self._space = LumpedSpace(self.max_lead)
 
     def revenue_rates(self, params: MiningParams) -> RevenueRates:
         """Compute the long-run revenue and block rates at ``params``."""

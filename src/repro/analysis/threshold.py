@@ -86,16 +86,12 @@ def profitable_threshold(
         pre-built ``model`` is supplied.
     model:
         Optionally, a pre-configured :class:`RevenueModel` to reuse across calls
-        (recommended when sweeping ``gamma``; building the state space dominates the
-        cost otherwise).
+        (recommended when sweeping ``gamma``).
     max_lead:
-        Truncation used when building a model on the fly; an order of magnitude
-        faster than the paper's 200.  At ``alpha = 0.45`` the error it puts on
-        ``Rs`` was measured at 1.9e-6 for ``gamma = 0.5`` but 1.7e-2 for
-        ``gamma = 0`` (see :class:`RevenueModel`).  The boundary mass falls
-        steeply with ``alpha`` — at ``gamma = 0`` it is 9e-8 at ``alpha = 0.3``
-        and 2.7e-15 at ``alpha = 0.2`` — and every rate reports it as
-        ``truncation_mass``.
+        Lead cap used when building a model on the fly.  At ``alpha = 0.45`` it
+        puts a boundary mass of 8.7e-7 on every gamma and an error of 9.5e-7 on
+        ``Rs`` at ``gamma = 0.5``; at ``alpha = 0.3`` the mass is 3.4e-23 (see
+        :class:`RevenueModel`).  Every rate reports it as ``truncation_mass``.
     grid_points:
         Number of points in the initial bracketing scan.
     tolerance:

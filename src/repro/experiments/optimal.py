@@ -2,10 +2,11 @@
 
 The driver charts, over an ``alpha x gamma`` grid, the pool's *optimal* relative
 revenue — the value of the withhold/override decision process solved by
-:mod:`repro.mdp` — next to the analytical revenue of the paper's Algorithm 1 and
-the honest baseline (``revenue = alpha``).  Because Algorithm 1 and honest mining
-are both corners of the MDP's policy space, the optimal column dominates the
-other two pointwise, and the point where its policy structure flips from
+:mod:`repro.mdp` — next to the revenue of the paper's Algorithm 1 (the solver's
+exact evaluation of that corner on the same chain) and the honest baseline
+(``revenue = alpha``).  Because Algorithm 1 and honest mining are both corners
+of the MDP's policy space, the optimal column dominates the other two
+pointwise, and the point where its policy structure flips from
 "honest" to "selfish" *is* the paper's profitability threshold, rediscovered by
 the solver rather than read off a revenue crossing.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..analysis.revenue import RevenueModel
 from ..analysis.sweep import alpha_grid
 from ..errors import ParameterError
 from ..mdp.solver import DEFAULT_POLICY_MAX_LEAD, OptimalPolicyResult, solve_optimal_policy
@@ -297,15 +297,14 @@ def run_optimal(
         simulation_blocks = min(simulation_blocks, 4_000)
         simulation_runs = 1
 
-    model = RevenueModel(resolved_schedule, max_lead=max_lead)
     cells: dict[tuple[float, float], OptimalFrontierCell] = {}
     for gamma in gammas:
         for alpha in alphas:
             params = MiningParams(alpha=alpha, gamma=gamma)
             policy = solve_optimal_policy(params, resolved_schedule, max_lead=max_lead, store=store)
-            selfish = model.relative_pool_revenue(params) if alpha > 0.0 else 0.0
+            # shares[0] is the solver's exact evaluation of Algorithm 1.
             cells[(alpha, gamma)] = OptimalFrontierCell(
-                params=params, policy=policy, selfish_revenue=selfish
+                params=params, policy=policy, selfish_revenue=policy.shares[0]
             )
 
     validation_gamma = VALIDATION_GAMMA if VALIDATION_GAMMA in gammas else gammas[0]

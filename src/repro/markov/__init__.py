@@ -4,7 +4,8 @@ The paper models the race between the selfish pool and honest miners as a
 2-dimensional continuous-time Markov process over states ``(Ls, Lh)`` (private and
 public branch lengths, Section IV-B).  This subpackage provides:
 
-* :mod:`repro.markov.state` — the state type and truncated state-space enumeration,
+* :mod:`repro.markov.state` — the state type, the truncated ``(Ls, Lh)`` enumeration
+  and its exact ``(lead, forked)`` lumping,
 * :mod:`repro.markov.transitions` — the transition rates of Section IV-C,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
 * :mod:`repro.markov.stationary` — the sparse stationary-distribution solve,
@@ -14,18 +15,18 @@ public branch lengths, Section IV-B).  This subpackage provides:
 
 from .chain import MarkovChain, Transition
 from .closed_form import closed_form_distribution, multiple_summation, pi_00, pi_11, pi_i0, pi_ij
-from .state import State, StateSpace, ZERO_STATE
+from .state import LumpedSpace, State, StateSpace, ZERO_STATE
 from .stationary import StationaryResult, stationary_distribution
-from .transitions import build_selfish_mining_chain, selfish_mining_transitions
+from .transitions import selfish_mining_transitions
 
 __all__ = [
+    "LumpedSpace",
     "MarkovChain",
     "State",
     "StateSpace",
     "StationaryResult",
     "Transition",
     "ZERO_STATE",
-    "build_selfish_mining_chain",
     "closed_form_distribution",
     "multiple_summation",
     "pi_00",

@@ -9,9 +9,12 @@ The reachable state space under Algorithm 1 is
 * ``(1, 1)`` — a tie: one private (now published) block against one honest block,
 * ``(i, j)`` with ``i - j >= 2`` and ``j >= 0`` — the pool leads by at least two.
 
-The state space is infinite; for numerical work we truncate the private-branch length
-at ``max_lead`` (the paper uses 200, footnote 3) and :class:`StateSpace` enumerates the
-truncated set with a stable index assignment.
+The state space is infinite.  :class:`StateSpace` enumerates it with the
+private-branch length capped at ``max_lead``, one state per ``(Ls, Lh)``: the MDP
+solver and the compiled Monte Carlo tables work on it.  :class:`LumpedSpace` keeps one
+representative per ``(lead, forked)`` class with the lead capped at ``max_lead``
+(``2 * max_lead + 1`` states); the analytical revenue model solves that exact
+lumping (see :class:`~repro.analysis.revenue.RevenueModel`).
 """
 
 from __future__ import annotations
@@ -128,14 +131,16 @@ class StateSpace:
     ----------
     max_lead:
         Truncation level for the private-branch length.  States with
-        ``Ls > max_lead`` are dropped; transitions that would leave the truncated set
-        are redirected back to the source state by the transition builder (their
-        probability mass is negligible for ``alpha <= 0.45`` and ``max_lead >= 60``).
+        ``Ls > max_lead`` are dropped; the pool's extension out of a state with
+        ``Ls == max_lead`` self-loops (see :meth:`on_boundary`).
     """
+
+    #: Enumerates the states kept at a truncation level, in index order.
+    _enumerate = staticmethod(enumerate_states)
 
     def __init__(self, max_lead: int = DEFAULT_STATE_TRUNCATION) -> None:
         self._max_lead = int(max_lead)
-        self._states = enumerate_states(self._max_lead)
+        self._states = self._enumerate(self._max_lead)
         self._index = {state: position for position, state in enumerate(self._states)}
 
     @property
@@ -171,13 +176,41 @@ class StateSpace:
         except IndexError as exc:
             raise StateSpaceError(f"index {index} out of range for state space of size {len(self)}") from exc
 
-    def lead_states(self, lead: int) -> list[State]:
-        """Return all states in the space whose pool advantage equals ``lead``."""
-        return [state for state in self._states if state.lead == lead]
+    def on_boundary(self, state: State) -> bool:
+        """True if the pool's extension out of ``state`` self-loops (``Ls == max_lead``)."""
+        return state.private == self._max_lead
 
     def describe(self) -> str:
         """Short human-readable summary of the truncated space."""
-        return f"StateSpace(max_lead={self._max_lead}, states={len(self)})"
+        return f"{type(self).__name__}(max_lead={self._max_lead}, states={len(self)})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()
+
+
+class LumpedSpace(StateSpace):
+    """The ``(lead, forked)`` lumping of the state space, with the lead capped at ``max_lead``.
+
+    Its states are ``(0, 0)``, ``(1, 0)``, ``(1, 1)`` and, for every lead ``d`` in
+    ``2..max_lead``, the unforked ``(d, 0)`` and the forked ``(d + 1, 1)``, which
+    stands for every ``(i, j)`` with ``i - j == d`` and ``j >= 1``.
+    """
+
+    @staticmethod
+    def _enumerate(max_lead: int) -> list[State]:
+        if max_lead < 2:
+            raise StateSpaceError(f"max_lead must be at least 2, got {max_lead}")
+        states = [State(0, 0), State(1, 0), State(1, 1)]
+        for lead in range(2, max_lead + 1):
+            states += (State(lead, 0), State(lead + 1, 1))
+        return states
+
+    def representative(self, state: State) -> State:
+        """The state of this space that stands for ``state``'s ``(lead, forked)`` class."""
+        if state.public == 0 or state.lead < 2:
+            return state
+        return State(state.lead + 1, 1)
+
+    def on_boundary(self, state: State) -> bool:
+        """True if the pool's extension out of ``state`` self-loops (lead ``== max_lead``)."""
+        return state.lead == self._max_lead

@@ -110,7 +110,10 @@ class RevenueSplit:
         return self.pool.nephew + self.honest.nephew
 
     def pool_share(self) -> float:
-        """Relative revenue of the pool, ``Rs`` in the paper (Section IV-E.1)."""
+        """Relative revenue of the pool, ``Rs`` in the paper (Section IV-E.1).
+
+        0 when the total is not positive, also when :meth:`scaled` underflowed it.
+        """
         total = self.total
         if total <= 0:
             return 0.0
@@ -122,7 +125,11 @@ class RevenueSplit:
         return RevenueSplit(pool=self.pool + other.pool, honest=self.honest + other.honest)
 
     def scaled(self, factor: float) -> "RevenueSplit":
-        """Return a copy with every component multiplied by ``factor``."""
+        """Return a copy with every component multiplied by ``factor``.
+
+        Plain float products: ``pool_share`` is kept for normal components, while
+        a subnormal one may underflow to 0 (so may the share).
+        """
         return RevenueSplit(pool=self.pool.scaled(factor), honest=self.honest.scaled(factor))
 
     def __mul__(self, factor: float) -> "RevenueSplit":

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_markov import build_selfish_mining_chain
 
 from repro.analysis.reward_cases import transition_rewards
 from repro.markov.state import State, StateSpace
 from repro.markov.stationary import stationary_distribution
-from repro.markov.transitions import build_selfish_mining_chain, transitions_from_state
+from repro.markov.transitions import transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
 

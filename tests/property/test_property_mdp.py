@@ -4,8 +4,8 @@ Three families of universally quantified facts:
 
 * **Solver optimality** — the solved share dominates every policy the MDP's
   family contains, in particular the analytically evaluable catalogue corners
-  (Algorithm 1 via :class:`~repro.analysis.revenue.RevenueModel`, honest mining's
-  ``revenue = alpha``), for random ``(alpha, gamma)`` points.
+  (Algorithm 1 via the ``(Ls, Lh)`` chain oracle of ``reference_markov``, honest
+  mining's ``revenue = alpha``), for random ``(alpha, gamma)`` points.
 * **Policy-improvement monotonicity** — the Dinkelbach share sequence never
   decreases, and pinning the policy to Algorithm 1 reproduces the
   :class:`~repro.markov.chain.MarkovChain` stationary revenue exactly: the MDP is
@@ -21,6 +21,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
+from reference_markov import full_chain_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
 from repro.chain.validation import validate_tree
@@ -80,7 +81,7 @@ def test_selfish_pinned_value_matches_the_markov_chain_revenue(point):
     params = MiningParams(alpha=alpha, gamma=gamma)
     solver = MdpSolver(params, max_lead=MAX_LEAD)
     pinned = solver.evaluate(solver.model.selfish_policy())
-    expected = RevenueModel(max_lead=MAX_LEAD).revenue_rates(params)
+    expected = full_chain_revenue_rates(RevenueModel(max_lead=MAX_LEAD), params)
     if alpha == 0.0:
         assert pinned.share == pytest.approx(0.0, abs=1e-15)
     else:

@@ -12,6 +12,11 @@ finite_rewards = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_
 party_rewards = st.builds(PartyRewards, static=finite_rewards, uncle=finite_rewards, nephew=finite_rewards)
 distances = st.integers(min_value=0, max_value=20)
 fractions = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+#: Rewards that are 0 or at least 1e-300, so a factor of 0.1 keeps them normal.  A
+#: subnormal reward has no model meaning; how its scaling underflows is pinned in
+#: ``tests/unit/test_reward_breakdown.py``.
+normal_rewards = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e6))
+normal_party_rewards = st.builds(PartyRewards, static=normal_rewards, uncle=normal_rewards, nephew=normal_rewards)
 
 
 class TestScheduleProperties:
@@ -80,7 +85,7 @@ class TestPartyRewardsProperties:
         assert 0.0 <= split.pool_share() <= 1.0
 
     @settings(max_examples=25)
-    @given(pool=party_rewards, honest=party_rewards, factor=st.floats(min_value=0.1, max_value=10.0))
+    @given(pool=normal_party_rewards, honest=normal_party_rewards, factor=st.floats(min_value=0.1, max_value=10.0))
     def test_scaling_a_split_preserves_the_share(self, pool, honest, factor):
         split = RevenueSplit(pool=pool, honest=honest)
         scaled = split.scaled(factor)

@@ -10,6 +10,11 @@
   independent cross-check of the sparse direct ``stationary_distribution``.
 * :func:`scalar_revenue_rates` accumulates the long-run rates one transition at a
   time, the oracle for the ``fold_rewards`` product ``RevenueModel`` settles with.
+* :func:`full_chain_revenue_rates` solves the unlumped ``(Ls, Lh)`` chain of
+  Section IV-C, its private branch capped at ``max_lead``
+  (:func:`build_selfish_mining_chain`), and folds it with ``stationary_rates``: the
+  oracle for the exact ``(lead, forked)`` lumping ``RevenueModel`` solves, and for
+  the MDP, which walks the same ``(Ls, Lh)`` space.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.analysis.revenue import RevenueModel, RevenueRates
+from repro.analysis.revenue import RevenueModel, RevenueRates, stationary_rates
 from repro.analysis.reward_cases import transition_rewards
 from repro.errors import ConvergenceError
 from repro.markov.chain import MarkovChain
-from repro.markov.state import State, StateSpace
+from repro.markov.state import LumpedSpace, State, StateSpace
 from repro.markov.stationary import StationaryResult, stationary_distribution
-from repro.markov.transitions import selfish_mining_transitions, transitions_from_state
+from repro.markov.transitions import SelfishTransition, selfish_mining_transitions, transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.breakdown import PartyRewards, RevenueSplit
 from repro.simulation.config import SimulationConfig
@@ -144,7 +149,7 @@ def solve_power_iteration(
 
 def scalar_revenue_rates(model: RevenueModel, params: MiningParams) -> RevenueRates:
     """``model``'s long-run rates at ``params``, accumulated one transition at a time."""
-    space = StateSpace(model.max_lead)
+    space = LumpedSpace(model.max_lead)
     labelled = selfish_mining_transitions(params, space)
     chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
     stationary = stationary_distribution(chain)
@@ -187,7 +192,39 @@ def scalar_revenue_rates(model: RevenueModel, params: MiningParams) -> RevenueRa
         honest_uncle_rate=honest_uncle_rate,
         honest_uncle_distance_rates=dict(sorted(distance_rates.items())),
         stale_rate=stale_rate,
-        truncation_mass=sum(
-            stationary.probability(state) for state in space if state.private == model.max_lead
-        ),
+        truncation_mass=sum(stationary.probability(state) for state in space if space.on_boundary(state)),
+    )
+
+
+def full_chain_transitions(params: MiningParams, space: StateSpace) -> list[SelfishTransition]:
+    """Every transition of the ``(Ls, Lh)`` chain with the private branch capped at ``space.max_lead``."""
+    transitions: list[SelfishTransition] = []
+    for state in space:
+        transitions.extend(transitions_from_state(state, params, max_lead=space.max_lead))
+    return transitions
+
+
+def build_selfish_mining_chain(
+    params: MiningParams, *, max_lead: int | None = None, space: StateSpace | None = None
+) -> MarkovChain[State]:
+    """The truncated ``(Ls, Lh)`` chain of Section IV-C; ``max_lead`` is ignored when ``space`` is given."""
+    if space is None:
+        space = StateSpace(max_lead) if max_lead is not None else StateSpace()
+    labelled = full_chain_transitions(params, space)
+    chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
+    chain.validate(expect_unit_exit_rate=True)
+    return chain
+
+
+def full_chain_revenue_rates(model: RevenueModel, params: MiningParams) -> RevenueRates:
+    """``model``'s rates at ``params`` on the unlumped ``(Ls, Lh)`` chain capped at ``model.max_lead``."""
+    space = StateSpace(model.max_lead)
+    labelled = full_chain_transitions(params, space)
+    chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
+    return stationary_rates(
+        params,
+        space,
+        stationary_distribution(chain),
+        labelled,
+        lambda k: transition_rewards(labelled[k], params, model.schedule),
     )

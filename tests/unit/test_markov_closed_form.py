@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from reference_markov import build_selfish_mining_chain
 
 from repro.errors import ParameterError
 from repro.markov.closed_form import (
@@ -15,7 +16,6 @@ from repro.markov.closed_form import (
 )
 from repro.markov.state import State
 from repro.markov.stationary import stationary_distribution
-from repro.markov.transitions import build_selfish_mining_chain
 from repro.params import MiningParams
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StateSpaceError
-from repro.markov.state import State, StateSpace, ZERO_STATE, enumerate_states
+from repro.markov.state import LumpedSpace, State, StateSpace, ZERO_STATE, enumerate_states
 
 
 class TestState:
@@ -77,19 +77,46 @@ class TestStateSpace:
         with pytest.raises(StateSpaceError):
             space.state_at(len(space) + 3)
 
-    def test_lead_states(self):
-        space = StateSpace(6)
-        lead_two = space.lead_states(2)
-        assert State(2, 0) in lead_two
-        assert State(6, 4) in lead_two
-        assert all(state.lead == 2 for state in lead_two)
-
     def test_iteration_matches_states_tuple(self):
         space = StateSpace(4)
         assert list(space) == list(space.states)
 
     def test_describe_mentions_truncation(self):
         assert "max_lead=7" in StateSpace(7).describe()
+
+
+class TestLumpedSpace:
+    def test_small_space_is_one_representative_per_lead_and_fork(self):
+        assert LumpedSpace(3).states == (
+            State(0, 0), State(1, 0), State(1, 1), State(2, 0), State(3, 1), State(3, 0), State(4, 1)
+        )
+
+    def test_size_is_two_max_lead_plus_one(self):
+        for max_lead in (2, 5, 60, 200):
+            assert len(LumpedSpace(max_lead)) == 2 * max_lead + 1
+
+    def test_every_reachable_state_maps_to_its_lead_and_fork_class(self):
+        space = LumpedSpace(30)
+        for state in StateSpace(30):
+            representative = space.representative(state)
+            assert representative in space
+            assert representative.lead == state.lead
+            assert (representative.public == 0) == (state.public == 0)
+            if state.public == 0 or state.lead < 2:
+                assert representative == state
+
+    def test_boundary_is_the_capped_lead(self):
+        space = LumpedSpace(6)
+        assert [state for state in space if space.on_boundary(state)] == [State(6, 0), State(7, 1)]
+        full = StateSpace(6)
+        assert [state for state in full if full.on_boundary(state)] == [State(6, j) for j in range(5)]
+
+    def test_max_lead_below_two_rejected(self):
+        with pytest.raises(StateSpaceError):
+            LumpedSpace(1)
+
+    def test_describe_names_the_lumped_space(self):
+        assert LumpedSpace(7).describe() == "LumpedSpace(max_lead=7, states=15)"
 
 
 class TestIntegerEncoding:

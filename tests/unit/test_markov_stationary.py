@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from reference_markov import solve_power_iteration
+from reference_markov import build_selfish_mining_chain, solve_power_iteration
 
 from repro.markov.chain import MarkovChain, Transition
 from repro.markov.stationary import stationary_distribution
 from repro.markov.state import State
-from repro.markov.transitions import build_selfish_mining_chain
 from repro.params import MiningParams
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from reference_markov import full_chain_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
 from repro.errors import ConvergenceError, ParameterError
@@ -31,7 +32,7 @@ class TestPolicyEvaluation:
         for alpha, gamma in [(0.2, 0.3), (0.35, 0.5), (0.45, 0.9)]:
             solver = solver_at(alpha, gamma)
             evaluation = solver.evaluate(solver.model.selfish_policy())
-            expected = model.revenue_rates(MiningParams(alpha=alpha, gamma=gamma))
+            expected = full_chain_revenue_rates(model, MiningParams(alpha=alpha, gamma=gamma))
             assert evaluation.share == pytest.approx(
                 expected.relative_pool_revenue, abs=1e-12
             )
@@ -39,12 +40,13 @@ class TestPolicyEvaluation:
             assert evaluation.rates.stale_rate == pytest.approx(expected.stale_rate, abs=1e-12)
 
     def test_selfish_pinned_equals_the_revenue_model_field_by_field(self):
-        # Both settle through the same fold over the same chain, so nothing may differ.
+        # Both settle through the same fold over the same (Ls, Lh) chain, so nothing
+        # may differ.
         model = RevenueModel(max_lead=MAX_LEAD)
         for alpha, gamma in [(0.2, 0.3), (0.35, 0.0), (0.45, 1.0)]:
             solver = solver_at(alpha, gamma)
             evaluated = solver.evaluate(solver.model.selfish_policy()).rates
-            expected = model.revenue_rates(MiningParams(alpha=alpha, gamma=gamma))
+            expected = full_chain_revenue_rates(model, MiningParams(alpha=alpha, gamma=gamma))
             for field in dataclasses.fields(expected):
                 assert getattr(evaluated, field.name) == getattr(expected, field.name), field.name
 
@@ -72,9 +74,9 @@ class TestSolve:
         result = solver_at(0.4, 0.5).solve()
         assert result.policy_label() == "selfish"
         assert result.divergence_from_selfish() == ()
-        expected = RevenueModel(max_lead=MAX_LEAD).relative_pool_revenue(
-            MiningParams(alpha=0.4, gamma=0.5)
-        )
+        expected = full_chain_revenue_rates(
+            RevenueModel(max_lead=MAX_LEAD), MiningParams(alpha=0.4, gamma=0.5)
+        ).relative_pool_revenue
         assert result.optimal_share == pytest.approx(expected, abs=1e-12)
 
     def test_share_sequence_is_monotone_and_ends_at_the_optimum(self):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
-from reference_markov import scalar_revenue_rates
+from reference_markov import full_chain_revenue_rates, scalar_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
+from repro.analysis.reward_cases import transition_rewards
+from repro.markov.state import LumpedSpace, StateSpace
+from repro.markov.transitions import selfish_mining_transitions, transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
 
@@ -157,17 +160,93 @@ class TestRewardFoldOracle:
                 assert folded.honest_uncle_distance_rates[distance] == pytest.approx(rate, abs=1e-12)
 
 
-class TestMeasuredTruncation:
-    """Pins the truncation table of the ``RevenueModel`` docstring within a factor of 2.
+@pytest.fixture(scope="module")
+def oracle_at_300():
+    """The unlumped chain at alpha 0.45, gamma 0.5 with the private branch capped at 300."""
+    return full_chain_revenue_rates(RevenueModel(max_lead=300), MiningParams(alpha=0.45, gamma=0.5))
 
-    The cap is on the private branch, so at ``gamma = 0`` the boundary carries real
-    mass and ``Rs`` is off by about that much; at ``gamma = 0.5`` it is negligible.
+
+def assert_every_field_agrees(rates, reference, tolerance: float) -> None:
+    assert rates.params == reference.params
+    for party in ("pool", "honest"):
+        for name in ("static", "uncle", "nephew"):
+            measured, expected = getattr(getattr(rates, party), name), getattr(getattr(reference, party), name)
+            assert measured == pytest.approx(expected, abs=tolerance), (party, name)
+    for name in (
+        "regular_rate",
+        "uncle_rate",
+        "pool_uncle_rate",
+        "honest_uncle_rate",
+        "stale_rate",
+        "truncation_mass",
+    ):
+        assert getattr(rates, name) == pytest.approx(getattr(reference, name), abs=tolerance), name
+    assert list(rates.honest_uncle_distance_rates) == list(reference.honest_uncle_distance_rates)
+    for distance, rate in reference.honest_uncle_distance_rates.items():
+        assert rates.honest_uncle_distance_rates[distance] == pytest.approx(rate, abs=tolerance)
+
+
+class TestLumpingIsExact:
+    """The ``(lead, forked)`` chain ``RevenueModel`` solves is an exact lumping of ``(Ls, Lh)``."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
+    def test_every_state_moves_like_its_representative(self, gamma):
+        params = MiningParams(alpha=0.3, gamma=gamma)
+        schedule = EthereumByzantiumSchedule()
+        lumped = LumpedSpace(30)
+        by_source: dict = {}
+        for transition in selfish_mining_transitions(params, lumped):
+            by_source.setdefault(transition.source, []).append(transition)
+        compared = 0
+        for state in StateSpace(30):
+            if state.private == 30:
+                continue  # at the private cap, where only the unlumped chain self-loops
+            own = list(transitions_from_state(state, params, max_lead=30))
+            representative = by_source[lumped.representative(state)]
+            assert [(t.kind, t.rate, lumped.representative(t.target)) for t in own] == [
+                (t.kind, t.rate, t.target) for t in representative
+            ]
+            for mine, theirs in zip(own, representative):
+                record = transition_rewards(mine, params, schedule)
+                lumped_record = transition_rewards(theirs, params, schedule)
+                assert record.component_vector() == lumped_record.component_vector()
+                assert record.distance_contributions() == lumped_record.distance_contributions()
+            compared += 1
+        assert compared == len(StateSpace(29))
+
+    def test_every_field_matches_the_full_chain_where_its_truncation_is_negligible(self):
+        compared = 0
+        for schedule in (EthereumByzantiumSchedule(), FlatUncleSchedule(0.5)):
+            model = RevenueModel(schedule, max_lead=60)
+            for gamma in (0.0, 0.5, 1.0):
+                for alpha in FIGURE8_ALPHAS:
+                    params = MiningParams(alpha=alpha, gamma=gamma)
+                    reference = full_chain_revenue_rates(model, params)
+                    if reference.truncation_mass >= 1e-12:
+                        continue
+                    assert_every_field_agrees(model.revenue_rates(params), reference, 1e-10)
+                    compared += 1
+        # alpha up to 0.2 at gamma 0, up to 0.35 at gamma 0.5 and 1, per schedule.
+        assert compared == 42
+
+    def test_large_alpha_matches_the_deep_full_chain(self, oracle_at_300):
+        assert oracle_at_300.truncation_mass < 1e-12
+        rates = RevenueModel(max_lead=200).revenue_rates(oracle_at_300.params)
+        assert_every_field_agrees(rates, oracle_at_300, 1e-10)
+
+
+class TestMeasuredTruncation:
+    """Pins the truncation table of the unlumped ``(Ls, Lh)`` chain within a factor of 2.
+
+    That chain caps the private branch, so at ``gamma = 0`` its boundary carries
+    real mass and ``Rs`` is off by about that much; at ``gamma = 0.5`` it is
+    negligible.  ``RevenueModel`` caps the lead instead (:class:`TestLumpedTruncation`).
     """
 
     ALPHA = 0.45
 
     def rates(self, gamma: float, max_lead: int):
-        return RevenueModel(max_lead=max_lead).revenue_rates(MiningParams(alpha=self.ALPHA, gamma=gamma))
+        return full_chain_revenue_rates(RevenueModel(max_lead=max_lead), MiningParams(alpha=self.ALPHA, gamma=gamma))
 
     @staticmethod
     def assert_within_factor_two(measured: float, documented: float) -> None:
@@ -183,7 +262,7 @@ class TestMeasuredTruncation:
     def test_gamma_zero_boundary_mass_falls_with_alpha(self):
         model = RevenueModel(max_lead=60)
         for alpha, mass in ((0.3, 9e-8), (0.2, 2.7e-15)):
-            rates = model.revenue_rates(MiningParams(alpha=alpha, gamma=0.0))
+            rates = full_chain_revenue_rates(model, MiningParams(alpha=alpha, gamma=0.0))
             self.assert_within_factor_two(rates.truncation_mass, mass)
 
     def test_gamma_half_boundary_mass_and_error(self):
@@ -195,3 +274,33 @@ class TestMeasuredTruncation:
         self.assert_within_factor_two(
             abs(rates.relative_pool_revenue - reference.relative_pool_revenue), 1.9e-6
         )
+
+
+class TestLumpedTruncation:
+    """Pins the truncation table of the ``RevenueModel`` docstring within a factor of 2.
+
+    The lead is a gamma-independent biased random walk, so the boundary mass is the
+    same for every gamma and falls like ``(alpha / beta) ** max_lead``.
+    """
+
+    assert_within_factor_two = staticmethod(TestMeasuredTruncation.assert_within_factor_two)
+
+    def test_boundary_mass_is_the_same_for_every_gamma(self):
+        for max_lead, mass in ((60, 8.7e-7), (200, 5.5e-19)):
+            model = RevenueModel(max_lead=max_lead)
+            masses = [
+                model.revenue_rates(MiningParams(alpha=0.45, gamma=gamma)).truncation_mass
+                for gamma in (0.0, 0.5, 1.0)
+            ]
+            for measured in masses:
+                self.assert_within_factor_two(measured, mass)
+                assert measured == pytest.approx(masses[0], rel=1e-9)
+
+    def test_boundary_mass_falls_with_alpha(self):
+        rates = RevenueModel(max_lead=60).revenue_rates(MiningParams(alpha=0.3, gamma=0.0))
+        self.assert_within_factor_two(rates.truncation_mass, 3.4e-23)
+
+    def test_relative_revenue_error_against_the_deep_full_chain(self, oracle_at_300):
+        rates = RevenueModel(max_lead=60).revenue_rates(oracle_at_300.params)
+        error = abs(rates.relative_pool_revenue - oracle_at_300.relative_pool_revenue)
+        self.assert_within_factor_two(error, 9.5e-7)

@@ -88,6 +88,11 @@ class TestRevenueSplit:
         assert halved.honest.static == 2.0
         assert (0.5 * split).isclose(halved)
 
+    def test_scaling_a_subnormal_reward_can_underflow_the_share_to_zero(self):
+        split = RevenueSplit(pool=PartyRewards(nephew=5e-324))
+        assert split.pool_share() == 1.0
+        assert split.scaled(0.5).pool_share() == 0.0
+
     def test_as_dict_structure(self):
         data = RevenueSplit(pool=PartyRewards(static=1.0)).as_dict()
         assert set(data) == {"pool", "honest"}
