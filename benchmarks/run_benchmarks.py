@@ -279,6 +279,10 @@ def summarise(payload: dict, scale: float) -> list[dict]:
         if entries is not None:
             record["entries"] = entries
             record["entries_per_sec"] = entries / stats["mean"]
+        # The dispatcher benchmark's parent-process CPU seconds (informational).
+        parent_cpu_s = bench.get("extra_info", {}).get("parent_cpu_s")
+        if parent_cpu_s is not None:
+            record["parent_cpu_s"] = parent_cpu_s
         if scale == 1.0:
             baseline = PRE_PR2_BASELINES_S.get(bench["name"])
             if baseline is not None:
@@ -357,7 +361,8 @@ def check_dispatcher_overhead(records: list[dict]) -> None:
         )
     print(
         f"check OK: resilient pool dispatch {measured['mean_s']:.4f}s vs bare "
-        f"pool.map {measured['replica_s']:.4f}s ({ratio:.2f}x overhead)"
+        f"pool.map {measured['replica_s']:.4f}s ({ratio:.2f}x overhead; "
+        f"dispatching parent used {measured.get('parent_cpu_s', float('nan')):.4f}s CPU per round)"
     )
 
 

@@ -41,7 +41,6 @@ from functools import partial
 
 from ..errors import SimulationError
 from ..markov.state import State
-from ..markov.transitions import transitions_from_state
 from ..rewards.breakdown import PartyRewards
 from .config import SimulationConfig
 from .metrics import SimulationResult
@@ -79,6 +78,9 @@ class MarkovMonteCarlo:
         self.rng = RandomSource(config.seed)
         self.state = State(0, 0)
         self._events_run = 0
+        # ``None`` walks the paper's chain, whose tables compute each (lead,
+        # forked) class's reward rows once per run.
+        transitions = None
         if config.strategy_name == "optimal":
             # The solved policy's induced chain: identical walk/settlement
             # machinery, policy-aware transition enumeration (cached per process
@@ -92,10 +94,6 @@ class MarkovMonteCarlo:
                 params=config.params,
                 override_codes=frozenset(policy.override_codes),
                 max_lead=UNBOUNDED_LEAD,
-            )
-        else:
-            transitions = partial(
-                transitions_from_state, params=config.params, max_lead=UNBOUNDED_LEAD
             )
         self.tables = CompiledTransitionTables(
             config.params,

@@ -392,44 +392,40 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
         if worker in workers:
             workers.remove(worker)
 
+    def dispatch() -> None:
+        """Feed every eligible pending task to an idle (or new) worker."""
+        nonlocal settled
+        now = time.monotonic()
+        while pending and pending[0][0] <= now:
+            idle = next((worker for worker in workers if not worker.busy), None)
+            if idle is None and len(workers) >= workers_wanted:
+                return
+            _, position = heapq.heappop(pending)
+            if attempts[position] == 0 and position not in claimed and try_claim is not None:
+                if not try_claim(ids[position]):
+                    outcomes[position] = DEFERRED
+                    settled += 1
+                    continue
+                claimed.add(position)
+            if idle is None:
+                idle = _spawn_worker(context, function)
+                workers.append(idle)
+            idle.position = position
+            idle.deadline = now + policy.timeout if policy.timeout is not None else None
+            try:
+                idle.connection.send((ids[position], attempts[position], tasks[position]))
+            except OSError:
+                # The idle worker died *between* tasks (its pipe is gone).
+                # That is the worker's failure, not the task's: retire the
+                # corpse and put the task straight back — a fresh worker
+                # picks it up on the next dispatch round, no attempt
+                # charged and no second claim taken.
+                retire(idle)
+                heapq.heappush(pending, (now, position))
+
     try:
         while settled < len(tasks):
-            now = time.monotonic()
-            # Dispatch every eligible pending task to an idle (or new) worker.
-            while pending and pending[0][0] <= now:
-                idle = next((worker for worker in workers if not worker.busy), None)
-                if idle is None and len(workers) >= workers_wanted:
-                    break
-                _, position = heapq.heappop(pending)
-                if (
-                    attempts[position] == 0
-                    and position not in claimed
-                    and try_claim is not None
-                ):
-                    if not try_claim(ids[position]):
-                        outcomes[position] = DEFERRED
-                        settled += 1
-                        continue
-                    claimed.add(position)
-                if idle is None:
-                    idle = _spawn_worker(context, function)
-                    workers.append(idle)
-                idle.position = position
-                idle.deadline = (
-                    now + policy.timeout if policy.timeout is not None else None
-                )
-                try:
-                    idle.connection.send(
-                        (ids[position], attempts[position], tasks[position])
-                    )
-                except OSError:
-                    # The idle worker died *between* tasks (its pipe is gone).
-                    # That is the worker's failure, not the task's: retire the
-                    # corpse and put the task straight back — a fresh worker
-                    # picks it up on the next dispatch round, no attempt
-                    # charged and no second claim taken.
-                    retire(idle)
-                    heapq.heappush(pending, (now, position))
+            dispatch()
             busy = [worker for worker in workers if worker.busy]
             if not busy:
                 if pending:
@@ -438,12 +434,14 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                 if settled < len(tasks):  # pragma: no cover - scheduler invariant
                     raise ExecutionError("dispatcher stalled with unsettled tasks")
                 break
-            # Wake at the nearest deadline or backoff expiry, whichever first.
+            # Wake at the nearest deadline, or at the next backoff expiry when a
+            # slot is free to take it: with every slot busy an eligible pending
+            # task would make the timeout 0 and the loop spin.
             wait_timeout: float | None = None
             deadlines = [worker.deadline for worker in busy if worker.deadline is not None]
             if deadlines:
                 wait_timeout = max(0.0, min(deadlines) - time.monotonic())
-            if pending:
+            if pending and len(busy) < workers_wanted:
                 until_eligible = max(0.0, pending[0][0] - time.monotonic())
                 wait_timeout = (
                     until_eligible if wait_timeout is None else min(wait_timeout, until_eligible)
@@ -472,6 +470,8 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                 worker.position = None
                 worker.deadline = None
                 if kind == "done":
+                    # Re-feed the freed worker before the (slow) settle hook.
+                    dispatch()
                     settle_success(position, payload)
                 else:
                     settle_attempt_failure(position, "error", payload)

@@ -2,15 +2,34 @@
 
 from __future__ import annotations
 
+import json
+from functools import partial
+from pathlib import Path
+
 import pytest
 
 from reference_markov import scalar_markov_run
 from repro.analysis.absolute import Scenario
 from repro.markov.state import State
+from repro.markov.transitions import transitions_from_state
 from repro.params import MiningParams
-from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule
+from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
 from repro.simulation.config import SimulationConfig
-from repro.simulation.fast import MarkovMonteCarlo
+from repro.simulation.fast import UNBOUNDED_LEAD, MarkovMonteCarlo
+from repro.simulation.tables import CompiledTransitionTables
+
+SEED_FIXTURES = Path(__file__).parent.parent / "fixtures" / "seed_engine_fixtures.json"
+SCHEDULES = {
+    "ethereum": EthereumByzantiumSchedule,
+    "bitcoin": BitcoinSchedule,
+    "flat_half": lambda: FlatUncleSchedule(0.5),
+}
+
+
+def _selfish_fixture_cases() -> list[dict]:
+    with SEED_FIXTURES.open() as handle:
+        fixtures = json.load(handle)["fixtures"]
+    return [fixture["case"] for fixture in fixtures if fixture["case"]["selfish"]]
 
 
 def config(alpha=0.3, gamma=0.5, blocks=30_000, seed=1, schedule=None) -> SimulationConfig:
@@ -153,3 +172,29 @@ class TestStatisticalAgreement:
         result = MarkovMonteCarlo(config(alpha=0.05, blocks=20_000, seed=3)).run()
         assert result.stale_blocks / result.total_blocks < 0.02
         assert result.relative_pool_revenue < 0.05
+
+
+class TestClassReuseIsBitExact:
+    """Reusing each (lead, forked) class's reward rows changes no bit of a run."""
+
+    @pytest.mark.parametrize("blocks", [None, 40_000])
+    @pytest.mark.parametrize("case", _selfish_fixture_cases())
+    def test_seed_fixture_cases_match_per_state_compilation(self, case, blocks):
+        cfg = SimulationConfig(
+            params=MiningParams(alpha=case["alpha"], gamma=case["gamma"]),
+            schedule=SCHEDULES[case["schedule"]](),
+            num_blocks=blocks or case["blocks"],
+            seed=case["seed"],
+            warmup_blocks=case.get("warmup", 0),
+        )
+        reused = MarkovMonteCarlo(cfg)
+        per_state = MarkovMonteCarlo(cfg)
+        # An explicit enumerator compiles every state's records itself.
+        per_state.tables = CompiledTransitionTables(
+            cfg.params,
+            cfg.schedule,
+            max_lead=UNBOUNDED_LEAD,
+            transitions=partial(transitions_from_state, params=cfg.params, max_lead=UNBOUNDED_LEAD),
+        )
+        assert reused.run() == per_state.run()
+        assert reused.tables._class_rows and not per_state.tables._class_rows

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.errors import ParameterError, RetryExhaustedError
+from repro.utils import resilient
 from repro.utils.resilient import (
     DEFAULT_POLICY,
     DEFERRED,
@@ -51,6 +52,11 @@ def _sleep_forever(value):
 
 def _sleep_briefly(value):
     time.sleep(0.05)
+    return value
+
+
+def _sleep_then_return(value):
+    time.sleep(value)
     return value
 
 
@@ -256,3 +262,84 @@ def _crash_only_task_zero(value):
     if value == 0:
         os.kill(os.getpid(), signal.SIGKILL)
     return value * 10
+
+
+def _fail_first_attempt(value):
+    """Task ``("fail", marker)`` fails its first attempt; ``("sleep", s)`` sleeps."""
+    kind, argument = value
+    if kind == "sleep":
+        time.sleep(argument)
+        return kind
+    if not os.path.exists(argument):
+        with open(argument, "w") as handle:
+            handle.write("attempted")
+        raise ValueError("first attempt fails")
+    return kind
+
+
+class TestPoolScheduling:
+    """The parent blocks on worker pipes and re-feeds a freed worker at once."""
+
+    def test_pool_does_not_busy_wait(self, monkeypatch):
+        """Regression: with every worker busy, an eligible pending task made the
+        wait timeout 0, so the parent spun on ``connection_wait`` (thousands of
+        calls for a few dozen short tasks)."""
+        calls = [0]
+        original = resilient.connection_wait
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(resilient, "connection_wait", counted)
+        tasks = [0.02] * 24
+        assert resilient_map(_sleep_then_return, tasks, max_workers=2) == tasks
+        assert calls[0] <= 3 * len(tasks)
+
+    def test_retry_is_dispatched_when_its_backoff_expires(self, tmp_path):
+        """A retry due while the other worker is busy starts on the free slot
+        as soon as its backoff expires, not when the busy task ends."""
+        policy = RetryPolicy(retries=1, backoff_base=0.1, backoff_cap=0.1)
+        settled_at: dict[int, float] = {}
+        started = time.monotonic()
+        outcomes = resilient_map(
+            _fail_first_attempt,
+            [("fail", str(tmp_path / "marker")), ("sleep", 2.0)],
+            max_workers=2,
+            policy=policy,
+            on_settled=lambda task_id, _: settled_at.setdefault(
+                task_id, time.monotonic() - started
+            ),
+        )
+        assert outcomes == ["fail", "sleep"]
+        assert settled_at[0] < 1.0 < 2.0 <= settled_at[1]
+
+    def test_freed_worker_is_refed_before_on_settled(self):
+        """When ``on_settled(k)`` fires and eligible tasks remain, the freed
+        slot's next claim has already been taken."""
+        events: list[tuple[str, int]] = []
+        tasks = [0.01] * 8
+
+        def claim(task_id):
+            events.append(("claim", task_id))
+            return True
+
+        resilient_map(
+            _sleep_then_return,
+            tasks,
+            max_workers=2,
+            try_claim=claim,
+            on_settled=lambda task_id, _: events.append(("settled", task_id)),
+        )
+        claims_at_settle = []
+        claims = 0
+        for kind, _ in events:
+            if kind == "claim":
+                claims += 1
+            else:
+                claims_at_settle.append(claims)
+        # The s-th settlement sees its own task, the other worker's task and
+        # the freed worker's next task claimed: s + 2, until the list runs out.
+        assert claims_at_settle == [
+            min(len(tasks), settled + 2) for settled in range(1, len(tasks) + 1)
+        ]

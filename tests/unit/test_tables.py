@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro.analysis.reward_cases import REWARD_COMPONENTS, transition_rewards
 from repro.markov.state import State, decode_state
 from repro.markov.transitions import transitions_from_state
+from repro.mdp.model import policy_transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule
 from repro.simulation.rng import RandomSource
+from repro.simulation import tables as tables_module
 from repro.simulation.tables import CompiledTransitionTables
 
 PARAMS = MiningParams(alpha=0.35, gamma=0.5)
@@ -54,6 +58,65 @@ class TestCompilation:
             transition = tables.transition_at(index)
             record = transition_rewards(transition, PARAMS, schedule)
             assert tuple(matrix[index]) == record.component_vector()
+
+
+def count_transition_rewards(monkeypatch) -> list[int]:
+    """Count the calls the tables module makes to ``transition_rewards``."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return transition_rewards(*args, **kwargs)
+
+    monkeypatch.setattr(tables_module, "transition_rewards", counted)
+    return calls
+
+
+class TestClassReuse:
+    """The paper's chain computes each (lead, forked) class's reward rows once."""
+
+    def test_walked_rows_equal_fresh_records(self):
+        tables = make_tables(MiningParams(alpha=0.42, gamma=0.3))
+        tables.walk(State(0, 0), 20_000, RandomSource(4))
+        classes = {(decode_state(code).lead, decode_state(code).public == 0) for code in tables._rows}
+        assert tables.num_states > len(classes)  # some class was reused
+        matrix = tables.reward_matrix()
+        schedule = EthereumByzantiumSchedule()
+        for index in range(tables.num_transitions):
+            record = transition_rewards(tables.transition_at(index), tables.params, schedule)
+            assert tuple(matrix[index]) == record.component_vector()
+            assert tables._distance_rows[index] == record.distance_contributions()
+
+    def test_one_reward_record_per_visited_class(self, monkeypatch):
+        calls = count_transition_rewards(monkeypatch)
+        tables = make_tables(MiningParams(alpha=0.42, gamma=0.3))
+        tables.walk(State(0, 0), 20_000, RandomSource(4))
+        states = [decode_state(code) for code in tables._rows]
+        representatives = {(state.lead, state.public == 0): state for state in states}
+        per_class = sum(
+            len(list(transitions_from_state(state, tables.params, max_lead=MAX_LEAD)))
+            for state in representatives.values()
+        )
+        assert calls[0] == per_class
+        assert calls[0] < tables.num_transitions
+
+    def test_explicit_enumerators_reuse_nothing(self, monkeypatch):
+        """An optimal-policy chain compiles every state's records itself: per-state
+        lumpability of a solved policy is not established."""
+        calls = count_transition_rewards(monkeypatch)
+        params = MiningParams(alpha=0.42, gamma=0.3)
+        policy = partial(
+            policy_transitions_from_state,
+            params=params,
+            override_codes=frozenset({State(3, 1).encode(), State(4, 0).encode()}),
+            max_lead=MAX_LEAD,
+        )
+        tables = CompiledTransitionTables(
+            params, EthereumByzantiumSchedule(), max_lead=MAX_LEAD, transitions=policy
+        )
+        tables.walk(State(0, 0), 20_000, RandomSource(4))
+        assert calls[0] == tables.num_transitions
+        assert not tables._class_rows
 
 
 class TestWalk:
