@@ -22,7 +22,7 @@ from repro.analysis.revenue import RevenueModel
 from repro.analysis.threshold import profitable_threshold
 from repro.markov.chain import MarkovChain
 from repro.markov.state import LumpedSpace
-from repro.markov.stationary import stationary_distribution
+from repro.markov.stationary import banded_stationary_distribution, stationary_distribution
 from repro.markov.transitions import selfish_mining_transitions
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
@@ -41,12 +41,23 @@ def scaled(blocks: int) -> int:
     return max(1000, int(blocks * BENCH_SCALE))
 
 
+def lumped_chain(max_lead: int) -> MarkovChain:
+    """The lumped chain ``RevenueModel`` solves at ``PARAMS``."""
+    space = LumpedSpace(max_lead)
+    return MarkovChain(space.states, [t.as_transition() for t in selfish_mining_transitions(PARAMS, space)])
+
+
 @pytest.mark.parametrize("max_lead", [60, 200])
 def test_stationary_solve_benchmark(benchmark, max_lead):
-    """The stationary solve of the lumped chain ``RevenueModel`` solves."""
-    space = LumpedSpace(max_lead)
-    chain = MarkovChain(space.states, [t.as_transition() for t in selfish_mining_transitions(PARAMS, space)])
-    result = benchmark(stationary_distribution, chain)
+    """The production solve of the lumped chain: the pure-Python banded elimination."""
+    result = benchmark(banded_stationary_distribution, lumped_chain(max_lead))
+    assert result.total_probability() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("max_lead", [60, 200])
+def test_stationary_superlu_comparison_benchmark(benchmark, max_lead):
+    """Comparison only: the generic sparse LU solve (SuperLU) on the same chain."""
+    result = benchmark(stationary_distribution, lumped_chain(max_lead))
     assert result.total_probability() == pytest.approx(1.0)
 
 

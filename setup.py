@@ -35,7 +35,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    # scipy is loaded only by the MDP solver and the generic sparse LU solve;
+    # the analytical model and the simulators need numpy alone.
+    install_requires=["numpy>=1.22", "scipy"],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },

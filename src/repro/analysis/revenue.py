@@ -27,7 +27,7 @@ import numpy as np
 
 from ..markov.chain import MarkovChain
 from ..markov.state import LumpedSpace, StateSpace
-from ..markov.stationary import StationaryResult, stationary_distribution
+from ..markov.stationary import StationaryResult, banded_stationary_distribution
 from ..markov.transitions import SelfishTransition, selfish_mining_transitions
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
@@ -178,6 +178,10 @@ class RevenueModel:
 
     So the chain is strongly lumpable, and solving the representatives gives the
     rates of the unlumped chain with its lead capped instead of its private branch.
+    In this state order every inflow comes from a neighbouring lead, so the chain
+    is banded and is solved by the pure-Python elimination
+    :func:`~repro.markov.stationary.banded_stationary_distribution`, in
+    ``O(max_lead)`` and without scipy.
 
     Parameters
     ----------
@@ -210,7 +214,7 @@ class RevenueModel:
         return stationary_rates(
             params,
             self._space,
-            stationary_distribution(chain),
+            banded_stationary_distribution(chain),
             labelled,
             lambda k: transition_rewards(labelled[k], params, self.schedule),
         )

@@ -8,7 +8,9 @@ public branch lengths, Section IV-B).  This subpackage provides:
   and its exact ``(lead, forked)`` lumping,
 * :mod:`repro.markov.transitions` — the transition rates of Section IV-C,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
-* :mod:`repro.markov.stationary` — the sparse stationary-distribution solve,
+* :mod:`repro.markov.stationary` — the stationary-distribution solves: a pure-Python
+  banded elimination for the lumped analytical chain and a sparse LU (scipy) for
+  every other chain,
 * :mod:`repro.markov.closed_form` — the closed-form distribution of Eq. (2) and the
   multiple-summation helper ``f(x, y, z)`` of Appendix A.
 """

@@ -3,7 +3,10 @@
 Both the paper's 2-dimensional Ethereum chain and the 1-dimensional Eyal–Sirer Bitcoin
 chain are represented with this class: an ordered collection of hashable states plus a
 list of rate-labelled transitions.  The container exposes the rate and generator
-matrices as scipy sparse matrices.
+matrices as scipy sparse matrices, importing scipy only when one is asked for: the
+analytical revenue model reads :attr:`MarkovChain.transitions` directly
+(:func:`~repro.markov.stationary.banded_stationary_distribution`) and never loads
+it.
 
 The chains produced by this package have the convenient property that the total
 outgoing rate of every state equals 1 (each transition corresponds to the creation of
@@ -15,12 +18,14 @@ assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generic, Hashable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Generic, Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
-from scipy import sparse
 
 from ..errors import StateSpaceError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only; the methods import scipy lazily
+    from scipy import sparse
 
 StateT = TypeVar("StateT", bound=Hashable)
 
@@ -110,6 +115,8 @@ class MarkovChain(Generic[StateT]):
         Self-loop rates are kept (they matter for the embedded jump chain used in the
         reward analysis, where a self-loop still corresponds to a block being mined).
         """
+        from scipy import sparse
+
         size = len(self)
         rows: list[int] = []
         cols: list[int] = []
@@ -127,6 +134,8 @@ class MarkovChain(Generic[StateT]):
         Self-loops cancel out of the generator: a transition back into the same state
         does not change the state and therefore contributes nothing to ``Q``.
         """
+        from scipy import sparse
+
         rate = self.rate_matrix().tolil()
         rate.setdiag(0.0)
         rate = rate.tocsr()

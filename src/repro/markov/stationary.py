@@ -1,20 +1,27 @@
 """The stationary distribution of a finite Markov chain.
 
-:func:`stationary_distribution` solves the global balance equations ``pi Q = 0``
-with the normalisation ``sum(pi) = 1`` by one sparse direct solve.  It returns a
-:class:`StationaryResult` that maps states to probabilities and records its
-residual, so the experiment drivers can report the numerical quality alongside the
-reproduced figures.
+Both solvers find the global balance equations' solution ``pi Q = 0`` with the
+normalisation ``sum(pi) = 1`` and return a :class:`StationaryResult` that maps
+states to probabilities and records its residual, so the experiment drivers can
+report the numerical quality alongside the reproduced figures.
+
+* :func:`banded_stationary_distribution` is a pure-Python elimination for chains
+  whose inflows stay near the diagonal in state order, such as the
+  :class:`~repro.markov.state.LumpedSpace` chain the analytical revenue model
+  solves.  It needs neither scipy nor BLAS.
+* :func:`stationary_distribution` is one sparse direct LU solve (SuperLU) for any
+  chain: the MDP's ``(Ls, Lh)`` chains, the Bitcoin model and the test oracles.
+  scipy is imported only when it runs.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Generic, Hashable, Mapping, TypeVar
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from ..errors import SolverError
 from .chain import MarkovChain
@@ -63,6 +70,79 @@ def _residual(chain: MarkovChain[StateT], distribution: np.ndarray) -> float:
     return float(np.max(np.abs(distribution @ generator)))
 
 
+def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
+    """Solve ``pi Q = 0, sum(pi) = 1`` by Gaussian elimination on Python rows.
+
+    The system is the anchored ``Q^T pi = 0`` of :func:`stationary_distribution`:
+    row 0 is replaced by ``pi[0] = 1``.  It is assembled straight from
+    ``chain.transitions`` as one ``{column: value}`` dictionary per row,
+    eliminated without pivoting in state order, back-substituted and
+    renormalised.  The anchor row has nothing off its diagonal, and the rest of
+    ``Q^T`` is column diagonally dominant: each column holds a state's exit rate
+    on the diagonal and at most the same rate spread over the other rows.
+    Elimination preserves that property (growth factor at most 2), so it is
+    stable without pivoting.  A zero pivot means the anchor state is not
+    recurrent and raises :class:`SolverError`.
+
+    Fill-in stays inside the matrix's envelope, so the cost follows the chain's
+    bandwidth in state order.  In
+    :class:`~repro.markov.state.LumpedSpace` order every inflow into a state
+    comes from at most two positions away (leads ``d - 1``, ``d`` and ``d + 1``)
+    and resets land in the anchor row, so there is no fill-in and the solve is
+    ``O(max_lead)``.  A chain with wide inflows, like the ``(Ls, Lh)`` chain,
+    fills in badly; solve it with :func:`stationary_distribution`.
+    """
+    size = len(chain)
+    index = chain.index_of
+    # Self-loops cancel out of the generator, as in ``generator_matrix``.
+    moves = [
+        (index(t.source), index(t.target), t.rate) for t in chain.transitions if t.source != t.target
+    ]
+    rows: list[dict[int, float]] = [{} for _ in range(size)]
+    for source, target, rate in moves:
+        rows[target][source] = rows[target].get(source, 0.0) + rate
+        rows[source][source] = rows[source].get(source, 0.0) - rate
+    rows[0] = {0: 1.0}
+    rhs = [0.0] * size
+    rhs[0] = 1.0
+    # Row by row: subtract the already reduced rows above from row i, in
+    # column order, until only its diagonal and upper entries are left.
+    for i in range(1, size):
+        row = rows[i]
+        pending = [column for column in row if column < i]
+        heapq.heapify(pending)
+        while pending:
+            k = heapq.heappop(pending)
+            factor = row.pop(k) / rows[k][k]
+            for column, value in rows[k].items():
+                if column > k:
+                    if column not in row and column < i:
+                        heapq.heappush(pending, column)
+                    row[column] = row.get(column, 0.0) - factor * value
+            rhs[i] -= factor * rhs[k]
+        if not row.get(i):
+            raise SolverError(f"zero pivot at state {chain.state_at(i)!r} (anchor state starved?)")
+    solution = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        upper = sum(value * solution[column] for column, value in row.items() if column > i)
+        solution[i] = (rhs[i] - upper) / row[i]
+    if not all(math.isfinite(value) for value in solution):
+        raise SolverError("banded solve produced non-finite values (anchor state starved?)")
+    distribution = _clean_distribution(np.asarray(solution))
+    probabilities = distribution.tolist()
+    net_inflow = [0.0] * size
+    for source, target, rate in moves:
+        flow = probabilities[source] * rate
+        net_inflow[target] += flow
+        net_inflow[source] -= flow
+    return StationaryResult(
+        chain=chain,
+        probabilities=tuple(probabilities),
+        residual=max(abs(value) for value in net_inflow),
+    )
+
+
 def stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
     """Solve ``pi Q = 0, sum(pi) = 1`` with a sparse LU factorisation.
 
@@ -79,6 +159,9 @@ def stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[Stat
     coordinate form and handed to the solver as CSC, avoiding the sparse-format
     round-trip a row assignment on a CSR/LIL matrix would cost.
     """
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
     size = len(chain)
     transposed = chain.generator_matrix().transpose().tocoo()
     keep = transposed.row != 0

@@ -48,7 +48,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ..analysis.reward_cases import TransitionRewards, transition_rewards
 from ..errors import StateSpaceError
@@ -197,6 +196,8 @@ class MdpModel:
         self._compile()
 
     def _compile(self) -> None:
+        from scipy import sparse
+
         space = self.space
         actions: list[MdpAction] = []
         offsets = [0]

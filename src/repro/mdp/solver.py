@@ -11,11 +11,13 @@ averages — so the solve is the classic two-level scheme for ratio objectives
    policy of the converged values is the improving policy.
 2. **Outer level** (:meth:`MdpSolver.solve`): evaluate the improving policy
    *exactly* — build the induced :class:`~repro.markov.chain.MarkovChain`, solve
-   its stationary distribution with the package's sparse solver, and settle the
-   Appendix-B reward records into :class:`~repro.analysis.revenue.RevenueRates`
-   through the fold :class:`~repro.analysis.revenue.RevenueModel` uses for
-   Algorithm 1, so a policy pinned to the selfish decisions reproduces the
-   paper's revenue bit for bit.  The evaluated share becomes the next ``rho``.
+   its stationary distribution with the sparse LU solve (the ``(Ls, Lh)`` order
+   is not banded, so the analytical model's pure-Python elimination would fill
+   in), and settle the Appendix-B reward records into
+   :class:`~repro.analysis.revenue.RevenueRates` through the fold
+   :class:`~repro.analysis.revenue.RevenueModel` uses for Algorithm 1, so a
+   policy pinned to the selfish decisions reproduces the paper's revenue bit for
+   bit.  The evaluated share becomes the next ``rho``.
 
 The share sequence is non-decreasing and strictly increases until the optimal
 policy is found (policy-improvement monotonicity — pinned by the property suite),
@@ -181,8 +183,10 @@ class MdpSolver:
         """Exact long-run rates of ``policy`` (flat action index per state).
 
         Builds the induced Markov chain, solves its stationary distribution with
-        the package's sparse direct solver, and settles the chosen actions'
-        Appendix-B records through :func:`repro.analysis.revenue.stationary_rates`
+        the sparse LU solve
+        :func:`~repro.markov.stationary.stationary_distribution`, and settles the
+        chosen actions' Appendix-B records through
+        :func:`repro.analysis.revenue.stationary_rates`
         — the call :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` makes
         for Algorithm 1, so the selfish-pinned policy reproduces the paper's
         revenue exactly.

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from reference_markov import build_selfish_mining_chain, solve_power_iteration
 
+from repro.errors import SolverError
 from repro.markov.chain import MarkovChain, Transition
-from repro.markov.stationary import stationary_distribution
-from repro.markov.state import State
+from repro.markov.stationary import banded_stationary_distribution, stationary_distribution
+from repro.markov.state import LumpedSpace, State
+from repro.markov.transitions import selfish_mining_transitions
 from repro.params import MiningParams
 
 
@@ -50,6 +54,66 @@ class TestSimpleChains:
         mapping = result.as_mapping()
         assert mapping["up"] == result["up"]
         assert set(mapping) == {"up", "down"}
+
+
+def lumped_chain(params: MiningParams, max_lead: int) -> MarkovChain[State]:
+    space = LumpedSpace(max_lead)
+    return MarkovChain(space.states, [t.as_transition() for t in selfish_mining_transitions(params, space)])
+
+
+class TestBandedSolver:
+    @pytest.mark.parametrize("max_lead", [30, 60, 200])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49])
+    def test_agrees_with_the_sparse_lu_solve_on_lumped_chains(self, max_lead, alpha):
+        for gamma in (0.0, 0.5, 1.0):
+            chain = lumped_chain(MiningParams(alpha=alpha, gamma=gamma), max_lead)
+            banded = banded_stationary_distribution(chain)
+            direct = stationary_distribution(chain)
+            assert max(abs(b - d) for b, d in zip(banded.probabilities, direct.probabilities)) <= 1e-14
+            assert banded.residual <= 1e-12
+
+    def test_two_state_chain(self):
+        result = banded_stationary_distribution(two_state_chain(p=0.3, q=0.6))
+        assert result.probability("up") == pytest.approx(0.6 / 0.9, abs=1e-15)
+        assert result.total_probability() == pytest.approx(1.0, abs=1e-15)
+
+    def test_fill_in_on_a_wide_chain_matches_the_sparse_lu_solve(self):
+        # The (Ls, Lh) order is not banded: elimination fills in, and the
+        # answer must still be the sparse LU one.
+        chain = build_selfish_mining_chain(MiningParams(alpha=0.35, gamma=0.5), max_lead=12)
+        banded = banded_stationary_distribution(chain)
+        direct = stationary_distribution(chain)
+        assert max(abs(b - d) for b, d in zip(banded.probabilities, direct.probabilities)) <= 1e-14
+
+    @pytest.mark.parametrize("max_lead", [2, 3, 60])
+    def test_lumped_chain_inflows_stay_within_two_positions(self, max_lead):
+        # Resets to (0, 0) land in the anchor row, which the solve replaces;
+        # every other inflow must come from at most two positions away, so the
+        # elimination creates no fill-in.
+        chain = lumped_chain(MiningParams(alpha=0.3, gamma=0.5), max_lead)
+        widths = [
+            abs(chain.index_of(t.source) - chain.index_of(t.target))
+            for t in chain.transitions
+            if chain.index_of(t.target) != 0
+        ]
+        assert max(widths) <= 2
+
+
+class TestSolverErrors:
+    def transient_anchor_chain(self) -> MarkovChain[int]:
+        # State 0 leaks into the absorbing state 1, so pi(0) = 0 and anchoring
+        # pi(0) = 1 has no solution.
+        return MarkovChain([0, 1], [Transition(0, 1, 1.0), Transition(1, 1, 1.0)])
+
+    def test_banded_solve_reports_the_zero_pivot(self):
+        with pytest.raises(SolverError, match="zero pivot"):
+            banded_stationary_distribution(self.transient_anchor_chain())
+
+    def test_sparse_lu_solve_reports_the_singular_system(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns that the matrix is singular
+            with pytest.raises(SolverError):
+                stationary_distribution(self.transient_anchor_chain())
 
 
 class TestSelfishMiningChain:
