@@ -102,7 +102,7 @@ def test_resilient_serial_dispatch_benchmark(benchmark):
     tasks = _tasks(blocks)
     benchmark.extra_info["blocks"] = blocks * NUM_TASKS
     result = benchmark.pedantic(
-        lambda: resilient_map(_simulate, tasks, policy=POLICY),
+        lambda: resilient_map(_simulate, tasks, max_workers=1, policy=POLICY),
         rounds=3,
         iterations=1,
     )

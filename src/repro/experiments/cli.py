@@ -223,7 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="fan independent runs/solves out over N worker processes (default: serial)",
+        help=(
+            "fan independent runs/solves out over N worker processes "
+            "(default: one per usable CPU; -j 1 runs serially in-process)"
+        ),
     )
     parser.add_argument(
         "--backend",

@@ -95,8 +95,9 @@ def run_discussion(
     """Recompute the Section VI threshold comparison.
 
     The four threshold solves (two schedules x two scenarios) are independent, so
-    ``max_workers`` fans them out over a process pool; being deterministic, the
-    result is identical to a serial run.
+    ``max_workers`` fans them out over a process pool (as
+    :func:`~repro.utils.resilient.resilient_map` defines it); being
+    deterministic, the result is identical to a serial run.
     """
     if current_schedule is None:
         current_schedule = EthereumByzantiumSchedule()

@@ -138,8 +138,9 @@ def run_figure10(
         truncation well below this value, and a smaller state space keeps the
         two-scenario sweep fast.
     max_workers:
-        Fan the per-``gamma`` threshold solves out over a process pool.  The
-        solves are deterministic, so the result is identical to a serial run.
+        Fan the per-``gamma`` threshold solves out over a process pool (as
+        :func:`~repro.utils.resilient.resilient_map` defines it).  The solves
+        are deterministic, so the result is identical to a serial run.
     """
     if schedule is None:
         schedule = EthereumByzantiumSchedule()

@@ -162,7 +162,8 @@ def run_figure8(
         Truncation of the analytical model.
     max_workers:
         Fan the simulation runs behind every grid point out over a process pool
-        (bit-identical to serial).
+        (as :func:`~repro.utils.resilient.resilient_map` defines it;
+        bit-identical to serial).
     store:
         Optional :class:`~repro.store.ResultStore`: the overlay executes only
         the runs missing from the cache (a warm re-run does zero simulation

@@ -163,7 +163,8 @@ def run_figure9(
     Fig. 8).  ``include_simulation`` adds a simulated overlay of the Ethereum
     ``Ku(.)`` curve — the one curve whose reward window the protocol actually
     enforces — on the chosen ``simulation_backend``, emitted as a scenario
-    through the shared sweep engine (``max_workers`` parallel, bit-identical to
+    through the shared sweep engine (``max_workers`` as
+    :func:`~repro.utils.resilient.resilient_map` defines it, bit-identical to
     serial; ``store`` caches the runs).
     """
     if alphas is None:

@@ -268,7 +268,8 @@ def run_network(
     max_lead:
         Truncation of the analytical model evaluated at the measured gamma.
     max_workers:
-        Fan all independent runs (both phases share one pool) out over processes.
+        Fan all independent runs (both phases share one pool) out over
+        processes, as :func:`~repro.utils.resilient.resilient_map` defines it.
     store:
         Optional :class:`~repro.store.ResultStore`: only the runs missing from
         the cache execute.

@@ -261,7 +261,8 @@ def run_optimal(
         and stubborn strategies except ``markov``, which rejects the stubborn
         variants — the catalogue section then requires ``chain`` or ``network``).
     max_workers:
-        Fan all simulation runs out over one process pool.
+        Fan all simulation runs out over one process pool, as
+        :func:`~repro.utils.resilient.resilient_map` defines it.
     store:
         Optional :class:`~repro.store.ResultStore`: only the simulation runs
         missing from the cache execute, and the per-point MDP solves are

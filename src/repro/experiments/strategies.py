@@ -163,8 +163,9 @@ def run_strategy_comparison(
         every registered strategy (the Markov backend models only honest/selfish
         and raises for the stubborn variants).
     max_workers:
-        Fan the runs of each cell out over a process pool (bit-identical to
-        serial; purely a wall-clock optimisation).
+        Fan the runs of each cell out over a process pool, as
+        :func:`~repro.utils.resilient.resilient_map` defines it (bit-identical
+        to serial; purely a wall-clock optimisation).
     store:
         Optional :class:`~repro.store.ResultStore`: only the cells missing from
         the cache are simulated.

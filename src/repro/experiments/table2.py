@@ -124,7 +124,9 @@ def run_table2(
     The analytical distribution is exact (up to state-space truncation); the optional
     simulation overlay estimates the same histogram from settled runs of the chosen
     ``simulation_backend`` (any backend that materialises real uncle references),
-    emitted as a scenario through the shared sweep engine (cached by ``store``).
+    emitted as a scenario through the shared sweep engine (cached by ``store``;
+    ``max_workers`` as :func:`~repro.utils.resilient.resilient_map` defines it,
+    bit-identical to serial).
     """
     if fast:
         simulation_blocks = min(simulation_blocks, 10_000)

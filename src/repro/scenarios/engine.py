@@ -204,11 +204,11 @@ def run_scenarios(
     cells attempted across all specs combined, in plan order; with a store,
     cells whose every run is already cached are *free* — a batched store check
     settles them without consuming the cap, so the cap budgets fresh progress.
-    ``policy``
-    tunes the resilient dispatch (per-run timeout, retries, backoff,
-    fail-fast); ``on_failure="record"`` degrades a run that exhausts its
-    budget into a *failed* cell instead of raising
-    :class:`~repro.errors.RetryExhaustedError`.
+    ``max_workers`` sizes the pool as
+    :func:`~repro.utils.resilient.resilient_map` defines it.  ``policy`` tunes
+    the resilient dispatch (per-run timeout, retries, backoff, fail-fast);
+    ``on_failure="record"`` degrades a run that exhausts its budget into a
+    *failed* cell instead of raising :class:`~repro.errors.RetryExhaustedError`.
     """
     if max_cells is not None and max_cells < 0:
         from ..errors import ExperimentError

@@ -136,7 +136,8 @@ def execute_runs(
     Because cached results round-trip bit-exactly, the output is identical
     whether a run came from the cache or from the engine.
 
-    Dispatch is resilient (:func:`repro.utils.resilient.resilient_map`):
+    Dispatch is resilient (:func:`repro.utils.resilient.resilient_map`, which
+    also defines ``max_workers``):
     ``policy`` sets the per-run wall-clock timeout, the retry budget and the
     deterministic backoff (:data:`~repro.utils.resilient.DEFAULT_POLICY` when
     ``None``).  A retried run settles to the bit-identical result, so retries
@@ -279,10 +280,11 @@ def run_many_grid(
     """Run ``num_runs`` of every configuration, one aggregate per configuration.
 
     All ``len(configs) * num_runs`` simulations are independent, so they are fanned
-    out over a single process pool together — a sweep with many cells keeps every
-    worker busy even when ``num_runs`` per cell is small.  Results are grouped and
-    aggregated per input configuration, in input order, and are identical to
-    calling :func:`run_many` on each configuration serially.
+    out over a single process pool together (``max_workers`` as
+    :func:`~repro.utils.resilient.resilient_map` defines it) — a sweep with many
+    cells keeps every worker busy even when ``num_runs`` per cell is small.
+    Results are grouped and aggregated per input configuration, in input order,
+    and are identical to calling :func:`run_many` on each configuration serially.
 
     With a ``store`` only the runs missing from the cache execute; everything
     else is loaded, bit-exact, from disk.  ``policy`` tunes the resilient
@@ -322,10 +324,11 @@ def run_many(
     the whole experiment is reproducible from the single master seed while the runs
     remain statistically independent.
 
-    ``max_workers`` fans the runs out over a process pool.  ``None`` or ``1`` runs
-    serially in-process.  The per-run seed stream is derived up front, so the
-    aggregated result is identical whichever execution mode (or worker count) is
-    chosen — parallelism is purely a wall-clock optimisation.  Grid experiments
+    ``max_workers`` fans the runs out over a process pool, as
+    :func:`~repro.utils.resilient.resilient_map` defines it.  The per-run seed
+    stream is derived up front, so the aggregated result is identical whichever
+    execution mode (or worker count) is chosen — parallelism is purely a
+    wall-clock optimisation.  Grid experiments
     should prefer :func:`run_many_grid`, which keeps the pool busy across cells.
     With a ``store`` only the runs missing from the cache execute; ``policy``
     tunes the resilient dispatch (see :func:`run_many_grid`).

@@ -3,7 +3,7 @@
 Several experiment drivers fan independent deterministic solves out over a
 process pool (figure 10's per-``gamma`` thresholds, the discussion driver's four
 schedule/scenario solves).  :func:`parallel_map` is the one implementation of
-the "pool when asked, serial otherwise" pattern, built on the resilient
+the "independent tasks over a pool" pattern, built on the resilient
 dispatcher (:func:`repro.utils.resilient.resilient_map`), so a solve whose
 worker is OOM-killed or segfaults is retried instead of aborting the whole
 batch.
@@ -40,8 +40,8 @@ def parallel_map(
 ) -> list[Result]:
     """``[function(task) for task in tasks]``, optionally on a resilient pool.
 
-    ``max_workers`` of ``None`` or ``1`` runs serially in-process (unless the
-    policy configures a timeout, which needs a killable worker process).
+    ``max_workers`` means what :func:`~repro.utils.resilient.resilient_map`
+    defines.
     ``function`` and every task must be picklable; module-level functions
     taking one argument satisfy this.  ``policy`` tunes the per-task timeout
     and retry budget (:class:`~repro.utils.resilient.RetryPolicy`); the

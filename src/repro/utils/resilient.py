@@ -24,9 +24,17 @@ in the package (:func:`repro.simulation.runner.execute_runs` and
 Results come back **in input order** regardless of worker count, scheduling or
 retries.  The pool is a set of single-task worker processes owned by this
 module (one duplex pipe each), so a kill only ever takes down the worker that
-deserved it; replacements are spawned on demand.  With ``max_workers`` of
-``None``/``1`` tasks run serially in-process — unless a timeout is configured,
-which needs a killable worker, so a single-worker pool is used instead.
+deserved it; replacements are spawned on demand.
+
+``max_workers`` means the same everywhere in the package, and is resolved only
+here.  ``None`` (every caller's default) is one worker per usable CPU
+(``len(os.sched_getaffinity(0))``, else ``os.cpu_count()``), capped at the
+number of tasks; when that is one worker — a single task, a single CPU — or
+the caller is a daemonic process (which may not have children), ``None`` runs
+serially in-process like ``1``.  An integer ``>= 2`` always fans out over that
+many workers (capped at the number of tasks).  The serial path runs in-process
+unless a timeout is configured, which needs a killable worker, so a
+single-worker pool is used instead.  Either path returns bit-identical results.
 
 The dispatcher also carries the hooks of the deterministic fault-injection
 harness (:mod:`repro.testing.faults`): when the ``REPRO_FAULTS`` environment
@@ -40,7 +48,7 @@ import heapq
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
+from multiprocessing import current_process, get_context
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
@@ -245,6 +253,14 @@ def _spawn_worker(context, function) -> _Worker:
     return _Worker(process, parent_connection)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    sched_getaffinity = getattr(os, "sched_getaffinity", None)
+    if sched_getaffinity is not None:
+        return len(sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resilient_map(
     function: Callable[[Task], Result],
     tasks: Sequence[Task],
@@ -265,9 +281,14 @@ def resilient_map(
     Parameters
     ----------
     max_workers:
-        ``None``/``1`` runs serially in-process; ``>= 2`` fans out over worker
-        processes.  A configured ``policy.timeout`` forces at least one worker
-        process even for serial runs (an in-process task cannot be killed).
+        ``None`` (the default) uses one worker per usable CPU, capped at the
+        number of tasks, and runs serially in-process when that is one worker
+        or the caller is a daemonic process; ``1`` runs serially in-process;
+        ``>= 2`` fans out over worker processes.  Usable CPUs are the
+        process's CPU affinity set, which does not reflect a cgroup CPU quota:
+        inside a quota-limited container pass the quota as an explicit count.
+        A configured ``policy.timeout`` forces at least one worker process
+        even for serial runs (an in-process task cannot be killed).
     policy:
         The :class:`RetryPolicy`; defaults to :data:`DEFAULT_POLICY`.
     task_ids:
@@ -298,9 +319,12 @@ def resilient_map(
             )
     if not tasks:
         return []
-    # Serial only when the caller asked for it (and no timeout needs a killable
-    # worker): an explicit ``max_workers >= 2`` keeps the pool even for a
-    # single task, so crash/kill isolation holds regardless of batch size.
+    if max_workers is None:
+        max_workers = 1 if current_process().daemon else min(_usable_cpus(), len(tasks))
+    # Serial only when one worker was asked for or resolved (and no timeout
+    # needs a killable worker): an explicit ``max_workers >= 2`` keeps the pool
+    # even for a single task, so crash/kill isolation holds regardless of
+    # batch size.
     if (max_workers or 1) == 1 and policy.timeout is None:
         return _serial_map(function, tasks, ids, policy, try_claim, on_settled)
     workers_wanted = max(1, min(max_workers or 1, len(tasks)))

@@ -98,11 +98,14 @@ class TestChaosSweepBitIdentical:
 
     def test_serial_chaos_raise_fault_retries_in_process(self, tmp_path):
         spec = _chaos_spec("chaos-serial")
-        baseline = run_scenario(spec)
+        baseline = run_scenario(spec, max_workers=1)
         store = ResultStore(tmp_path / "cache")
         with inject_faults((FaultSpec(kind="raise", task=5),)):
             injected = run_scenario(
-                spec, store=store, policy=RetryPolicy(retries=1, backoff_base=0.0)
+                spec,
+                store=store,
+                policy=RetryPolicy(retries=1, backoff_base=0.0),
+                max_workers=1,
             )
         assert injected.complete
         assert [outcome.aggregate for outcome in injected.cells] == [
@@ -124,6 +127,7 @@ class TestDegradedMode:
                 store=store,
                 policy=RetryPolicy(retries=2, backoff_base=0.0),
                 on_failure="record",
+                max_workers=1,
             )
         assert degraded.failed_cells == 1 and degraded.failed_runs == 1
         assert not degraded.complete
@@ -152,7 +156,9 @@ class TestDegradedMode:
         )
         with inject_faults(plan):
             with pytest.raises(RetryExhaustedError):
-                run_scenario(spec, policy=RetryPolicy(retries=1, backoff_base=0.0))
+                run_scenario(
+                    spec, policy=RetryPolicy(retries=1, backoff_base=0.0), max_workers=1
+                )
 
 
 # ---------------------------------------------------------------------------

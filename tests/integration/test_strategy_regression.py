@@ -85,7 +85,7 @@ class TestParallelExecutorMatchesSerial:
     )
 
     def test_chain_backend_bit_identical(self):
-        serial = run_many(self.CONFIG, 3, backend="chain")
+        serial = run_many(self.CONFIG, 3, backend="chain", max_workers=1)
         parallel = run_many(self.CONFIG, 3, backend="chain", max_workers=3)
         assert [r.config.seed for r in serial.results] == [
             r.config.seed for r in parallel.results
@@ -100,7 +100,7 @@ class TestParallelExecutorMatchesSerial:
         assert serial.pool_absolute_scenario1 == parallel.pool_absolute_scenario1
 
     def test_markov_backend_bit_identical(self):
-        serial = run_many(self.CONFIG, 2, backend="markov")
+        serial = run_many(self.CONFIG, 2, backend="markov", max_workers=1)
         parallel = run_many(self.CONFIG, 2, backend="markov", max_workers=2)
         for serial_run, parallel_run in zip(serial.results, parallel.results):
             assert serial_run.pool_rewards == parallel_run.pool_rewards

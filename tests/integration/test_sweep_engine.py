@@ -66,12 +66,13 @@ class TestWarmStoreDoesZeroWork:
         )
         counter = _counting_make_simulator(monkeypatch)
         store = ResultStore(tmp_path / "cache")
-        cold = run_scenario(spec, store=store)
+        # Serial in-process (max_workers=1), so the parent-side spy sees the builds.
+        cold = run_scenario(spec, store=store, max_workers=1)
         assert counter["builds"] == spec.num_planned_runs == 18
         assert cold.executed_runs == 18 and cold.cached_runs == 0
 
         counter["builds"] = 0
-        warm = run_scenario(spec, store=store)
+        warm = run_scenario(spec, store=store, max_workers=1)
         assert counter["builds"] == 0, "warm re-run constructed a simulator"
         assert warm.executed_runs == 0 and warm.cached_runs == 18
         assert [o.aggregate for o in warm.cells] == [o.aggregate for o in cold.cells]
@@ -346,6 +347,6 @@ class TestInterruptAndResume:
             num_blocks=1_500,
             seed=9,
         )
-        serial = run_scenario(spec)
+        serial = run_scenario(spec, max_workers=1)
         parallel = run_scenario(spec, max_workers=4)
         assert [o.aggregate for o in serial.cells] == [o.aggregate for o in parallel.cells]

@@ -263,7 +263,7 @@ class TestFigure9SimulationOverlay:
 
 class TestFigure10Workers:
     def test_parallel_solve_matches_serial(self):
-        serial = run_figure10(gammas=[0.2, 0.8], max_lead=25)
+        serial = run_figure10(gammas=[0.2, 0.8], max_lead=25, max_workers=1)
         parallel = run_figure10(gammas=[0.2, 0.8], max_lead=25, max_workers=2)
         for first, second in zip(serial.points, parallel.points):
             assert first.ethereum_scenario1.alpha_star == second.ethereum_scenario1.alpha_star
@@ -317,7 +317,7 @@ class TestNetworkDriver:
     def test_parallel_runs_match_serial(self):
         serial = run_network(
             latency_means=(0.1,), two_pool_grid=(), simulation_blocks=1500,
-            simulation_runs=2, max_lead=25,
+            simulation_runs=2, max_lead=25, max_workers=1,
         )
         parallel = run_network(
             latency_means=(0.1,), two_pool_grid=(), simulation_blocks=1500,
@@ -332,7 +332,8 @@ class TestNetworkDriver:
 class TestDiscussionDriver:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_discussion(fast=True)
+        # Serial, so test_parallel_solve_matches_serial compares against it.
+        return run_discussion(fast=True, max_workers=1)
 
     def test_proposal_raises_both_thresholds(self, result):
         assert result.improvement_scenario1() > 0.05

@@ -10,6 +10,8 @@ import time
 import pytest
 
 from repro.errors import ParameterError, RetryExhaustedError
+from repro.params import MiningParams
+from repro.simulation.config import SimulationConfig
 from repro.utils import resilient
 from repro.utils.resilient import (
     DEFAULT_POLICY,
@@ -64,8 +66,26 @@ def _raise_system_exit(value):
     raise SystemExit(3)
 
 
+def _square_with_pid(value):
+    time.sleep(0.05)  # long enough that every worker is spawned before any is free
+    return value * value, os.getpid()
+
+
+def _run_many_in_daemon(connection):
+    """Body of a daemonic child: ``run_many`` with the default worker count."""
+    from repro.simulation.runner import run_many
+
+    connection.send(run_many(DAEMON_CONFIG, 3, backend="markov"))
+    connection.close()
+
+
 #: A fast-retry policy so tests never sleep on backoff.
 FAST = RetryPolicy(retries=2, backoff_base=0.0, backoff_cap=0.0)
+
+#: A small configuration for the daemonic-caller test.
+DAEMON_CONFIG = SimulationConfig(
+    params=MiningParams(alpha=0.3, gamma=0.5), num_blocks=2000, seed=11
+)
 
 
 class TestRetryPolicy:
@@ -103,7 +123,7 @@ class TestRetryPolicy:
 
 class TestSerialPath:
     def test_maps_in_input_order(self):
-        assert resilient_map(_square, [3, 1, 2]) == [9, 1, 4]
+        assert resilient_map(_square, [3, 1, 2], max_workers=1) == [9, 1, 4]
 
     def test_empty_input(self):
         assert resilient_map(_square, []) == []
@@ -124,7 +144,7 @@ class TestSerialPath:
     def test_fail_fast_raises_immediately(self):
         policy = RetryPolicy(retries=0, backoff_base=0.0, fail_fast=True)
         with pytest.raises(RetryExhaustedError):
-            resilient_map(_fail_always, [1, 2], policy=policy)
+            resilient_map(_fail_always, [1, 2], max_workers=1, policy=policy)
 
     def test_zero_retries_means_single_attempt(self):
         policy = RetryPolicy(retries=0, backoff_base=0.0)
@@ -141,14 +161,72 @@ class TestSerialPath:
 
     def test_try_claim_defers_declined_tasks(self):
         outcomes = resilient_map(
-            _square, [1, 2, 3], try_claim=lambda task_id: task_id != 1
+            _square, [1, 2, 3], max_workers=1, try_claim=lambda task_id: task_id != 1
         )
         assert outcomes == [1, DEFERRED, 9]
 
     def test_on_settled_fires_incrementally_in_order(self):
         settled = []
-        resilient_map(_square, [2, 3], on_settled=lambda i, r: settled.append((i, r)))
+        resilient_map(
+            _square, [2, 3], max_workers=1, on_settled=lambda i, r: settled.append((i, r))
+        )
         assert settled == [(0, 4), (1, 9)]
+
+
+class TestDefaultWorkerCount:
+    """``max_workers=None`` is one worker per usable CPU, capped at the tasks."""
+
+    def test_single_task_runs_in_process(self):
+        (outcome,) = resilient_map(_square_with_pid, [3])
+        assert outcome == (9, os.getpid())
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_fans_out_over_usable_cpus_capped_at_tasks(self, extra):
+        cpus = resilient._usable_cpus()
+        tasks = list(range(max(2, cpus + extra)))
+        outcomes = resilient_map(_square_with_pid, tasks)
+        serial = resilient_map(_square_with_pid, tasks, max_workers=1)
+        assert [square for square, _ in outcomes] == [square for square, _ in serial]
+        if cpus == 1:
+            pytest.skip("one usable CPU: the default runs serially")
+        pids = {pid for _, pid in outcomes}
+        assert os.getpid() not in pids
+        assert len(pids) == min(cpus, len(tasks))
+
+    def test_daemonic_caller_runs_serially(self):
+        from repro.simulation.runner import run_many
+
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        child = multiprocessing.Process(
+            target=_run_many_in_daemon, args=(sender,), daemon=True
+        )
+        child.start()
+        sender.close()
+        try:
+            assert receiver.poll(60), "the daemonic child sent no result"
+            in_daemon = receiver.recv()
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():  # pragma: no cover - hung child
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert in_daemon == run_many(DAEMON_CONFIG, 3, backend="markov", max_workers=1)
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert resilient._usable_cpus() == 3
+        wanted = []
+
+        def spy(function, tasks, ids, policy, workers_wanted, try_claim, on_settled):
+            wanted.append(workers_wanted)
+            return [function(task) for task in tasks]
+
+        monkeypatch.setattr(resilient, "_pool_map", spy)
+        assert resilient_map(_square, list(range(5))) == [0, 1, 4, 9, 16]
+        assert resilient_map(_square, [1, 2]) == [1, 4]
+        assert wanted == [3, 2]
 
 
 class TestPoolPath:
@@ -202,7 +280,7 @@ class TestPoolPath:
     def test_pool_results_match_serial_results(self):
         tasks = list(range(8))
         assert resilient_map(_square, tasks, max_workers=3) == resilient_map(
-            _square, tasks
+            _square, tasks, max_workers=1
         )
 
     def test_idle_worker_death_between_tasks_charges_no_attempt(self):

@@ -53,7 +53,7 @@ class TestRunMany:
             run_many(CONFIG, 0)
 
     def test_parallel_matches_serial(self):
-        serial = run_many(CONFIG, 2, backend="markov")
+        serial = run_many(CONFIG, 2, backend="markov", max_workers=1)
         parallel = run_many(CONFIG, 2, backend="markov", max_workers=2)
         assert serial.relative_pool_revenue == parallel.relative_pool_revenue
         assert [r.config.seed for r in serial.results] == [r.config.seed for r in parallel.results]
@@ -80,7 +80,7 @@ class TestRunMany:
         # One run per cell: the flat fan-out must still dispatch both cells to the
         # pool and return them in input order, bit-identical to serial.
         cells = [CONFIG.with_seed(5), CONFIG.with_seed(9)]
-        serial = run_many_grid(cells, 1, backend="markov")
+        serial = run_many_grid(cells, 1, backend="markov", max_workers=1)
         parallel = run_many_grid(cells, 1, backend="markov", max_workers=2)
         for serial_cell, parallel_cell in zip(serial, parallel):
             assert serial_cell.relative_pool_revenue == parallel_cell.relative_pool_revenue
