@@ -14,9 +14,10 @@ whole trajectory as one table).
 The record pairs the resilient-dispatcher benchmarks with their pre-PR 7
 replicas (a bare ``ProcessPoolExecutor.map`` and a plain serial loop) into
 ``overhead_vs_pool_map`` / ``overhead_vs_serial_loop`` ratios — the
-wall-clock tax of the fault-tolerance machinery on a healthy workload.  The
-store benchmarks time a warm batched read and the claim -> put -> release
-write cycle of the single sqlite store.
+wall-clock tax of the fault-tolerance machinery on a healthy workload — and
+its short-task case (about a thousand 2,000-block runs) into an informational
+``pool_vs_serial`` ratio.  The store benchmarks time a warm batched read and
+the claim -> put -> release write cycle of the single sqlite store.
 
 Every record is stamped with its provenance — the git commit it measured, the
 interpreter and machine it ran on, and the contents of the four component
@@ -167,6 +168,11 @@ OVERHEAD_PAIRS = (
         "test_resilient_serial_dispatch_benchmark",
         "test_serial_loop_baseline_benchmark",
         "overhead_vs_serial_loop",
+    ),
+    (
+        "test_resilient_short_task_pool_benchmark",
+        "test_resilient_short_task_serial_benchmark",
+        "pool_vs_serial",
     ),
 )
 
@@ -364,6 +370,15 @@ def check_dispatcher_overhead(records: list[dict]) -> None:
         f"pool.map {measured['replica_s']:.4f}s ({ratio:.2f}x overhead; "
         f"dispatching parent used {measured.get('parent_cpu_s', float('nan')):.4f}s CPU per round)"
     )
+    # Informational, not gated: the short-task case's pool-vs-serial wall
+    # ratio, where the per-task round trip through the parent shows.
+    short = by_name.get("test_resilient_short_task_pool_benchmark")
+    if short is not None and "pool_vs_serial" in short:
+        print(
+            f"info: short tasks on 2 workers {short['mean_s']:.4f}s vs serial "
+            f"{short['replica_s']:.4f}s ({short['pool_vs_serial']:.2f}x; dispatching "
+            f"parent used {short.get('parent_cpu_s', float('nan')):.4f}s CPU per round)"
+        )
 
 
 def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:

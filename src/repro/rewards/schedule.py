@@ -112,6 +112,14 @@ class RewardSchedule(ABC):
     def __hash__(self) -> int:
         return hash(schedule_fingerprint(self))
 
+    def __getstate__(self) -> dict:
+        # The cached fingerprint is derived data: a copy re-probes on first
+        # use, so a pickled schedule (in every task sent to a pool worker and
+        # every result sent back) stays as small as the schedule itself.
+        state = self.__dict__.copy()
+        state.pop("_fingerprint", None)
+        return state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()
 
@@ -316,7 +324,19 @@ def schedule_fingerprint(schedule: RewardSchedule) -> tuple:
 
     This is the one schedule identity every cache in the package keys on: the
     MDP solver's policy cache and the on-disk result store both use it.
+
+    Schedules are immutable values, so the probe runs once per instance and
+    the tuple is kept on it: every ``config_fingerprint``, ``==`` and
+    ``hash`` after the first reads the cached value.
     """
+    fingerprint = schedule.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        fingerprint = schedule._fingerprint = _probe_fingerprint(schedule)
+    return fingerprint
+
+
+def _probe_fingerprint(schedule: RewardSchedule) -> tuple:
+    """The uncached probe behind :func:`schedule_fingerprint`."""
     probe = min(int(schedule.max_uncle_distance), 16)
     return (
         type(schedule).__name__,

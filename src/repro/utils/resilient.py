@@ -22,9 +22,14 @@ in the package (:func:`repro.simulation.runner.execute_runs` and
   :class:`~repro.errors.RetryExhaustedError`.
 
 Results come back **in input order** regardless of worker count, scheduling or
-retries.  The pool is a set of single-task worker processes owned by this
-module (one duplex pipe each), so a kill only ever takes down the worker that
-deserved it; replacements are spawned on demand.
+retries.  The pool is a set of worker processes owned by this module (one
+duplex pipe each), so a kill only ever takes down the worker that deserved it;
+replacements are spawned on demand.  Dispatch is pipelined: a worker holds up
+to :data:`QUEUE_DEPTH` tasks, the head of its queue running and the next one
+waiting in its pipe, so it starts its next task the moment it sends a result
+while the parent settles that result (the caller's store write and lease
+release) in parallel.  The parent always knows the head is the running task,
+so a crash or timeout is still charged to exactly one task.
 
 ``max_workers`` means the same everywhere in the package, and is resolved only
 here.  ``None`` (every caller's default) is one worker per usable CPU
@@ -50,6 +55,7 @@ import time
 from dataclasses import dataclass
 from multiprocessing import current_process, get_context
 from multiprocessing.connection import wait as connection_wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from ..errors import (
@@ -67,6 +73,18 @@ Result = TypeVar("Result")
 #: :mod:`repro.testing.faults`; duplicated here so the hot path never imports
 #: the harness when it is inactive).
 FAULTS_ENV = "REPRO_FAULTS"
+
+#: Tasks a pool worker holds at once: the running head of its queue and the
+#: task waiting in its pipe behind it.
+QUEUE_DEPTH = 2
+
+#: Largest pickled task message queued behind a running task; a larger one
+#: waits for an idle worker.  A queued message sits in the pipe until the
+#: worker finishes its head task, so the send must fit the pipe's buffer: a
+#: send that blocked there while the worker blocked sending a large result
+#: would deadlock both.  A page is far below any platform's socket buffer,
+#: and a simulation task is well under it (about 0.5 KiB).
+_MAX_QUEUED_MESSAGE_BYTES = 4096
 
 
 class _DeferredType:
@@ -94,8 +112,10 @@ class RetryPolicy:
     Attributes
     ----------
     timeout:
-        Per-task wall-clock budget in seconds (measured from dispatch to a
-        worker; there is no in-worker queueing).  ``None`` disables timeouts.
+        Per-task wall-clock budget in seconds, measured from when the task
+        starts on a worker: when it is sent to an idle worker, or when the
+        result of the task queued ahead of it arrives.  Time spent waiting in
+        a worker's queue does not count.  ``None`` disables timeouts.
         A timed-out worker is killed and the task's attempt counts as failed.
     retries:
         How many times a failed/timed-out/crashed task is re-attempted before
@@ -184,9 +204,12 @@ def _fire_faults(task_id: int, attempt: int, *, in_worker: bool) -> None:
 def _worker_main(connection, function) -> None:  # pragma: no cover - subprocess body
     """One pool worker: receive ``(task_id, attempt, payload)``, send the outcome.
 
-    Runs in a child process (coverage does not see it).  The worker holds at
-    most one task at a time, so the parent always knows exactly which task a
-    dead or timed-out worker was responsible for.
+    Runs in a child process (coverage does not see it).  Tasks run one at a
+    time in the order they were sent, with one outcome message per task; the
+    parent may send the next task while this one runs (it waits in the pipe),
+    so the worker starts it as soon as this outcome is sent.  The parent
+    tracks the sent tasks as a queue whose head is the running one, so it
+    always knows which task a dead or timed-out worker was responsible for.
     """
     while True:
         try:
@@ -218,17 +241,15 @@ def _worker_main(connection, function) -> None:  # pragma: no cover - subprocess
 class _Worker:
     """Parent-side handle of one worker process."""
 
-    __slots__ = ("process", "connection", "position", "deadline")
+    __slots__ = ("process", "connection", "queue", "deadline")
 
     def __init__(self, process, connection) -> None:
         self.process = process
         self.connection = connection
-        self.position: int | None = None  # index into the task list, None = idle
-        self.deadline: float | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.position is not None
+        # Indices into the task list in the order they were sent; the head is
+        # running, an empty queue means the worker is idle.
+        self.queue: list[int] = []
+        self.deadline: float | None = None  # the head's wall-clock budget
 
     def kill(self) -> None:
         """Tear the worker down hard (timeout enforcement, shutdown)."""
@@ -300,9 +321,10 @@ def resilient_map(
     try_claim:
         Called once per task right before its *first* dispatch; returning
         ``False`` marks the task :data:`DEFERRED` without executing it.  Claims
-        are taken just-in-time (when a worker is actually free), so concurrent
-        processes sharing a store partition the work instead of one process
-        claiming everything up front.  Retries keep the original claim.
+        are taken just-in-time (when a worker is free, or can queue the task
+        behind its running one), so concurrent processes sharing a store
+        partition the work instead of one process claiming everything up
+        front.  Retries keep the original claim.
     on_settled:
         Called as ``on_settled(task_id, result)`` the moment a task succeeds —
         *before* later tasks settle — so callers can persist results
@@ -375,7 +397,19 @@ def _serial_map(function, tasks, ids, policy, try_claim, on_settled) -> list[Any
 
 
 def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settled) -> list[Any]:
-    """The worker-pool path: submit-based dispatch over single-task workers."""
+    """The worker-pool path: pipelined dispatch over per-worker task queues.
+
+    Each worker holds up to :data:`QUEUE_DEPTH` tasks: the head of its queue
+    is running, the rest wait in its pipe.  When a result arrives the parent
+    refills that worker's queue first and settles the result after, so the
+    worker computes its next task while the parent runs ``on_settled`` (the
+    caller's store write and lease release).  A task is queued behind a
+    running one only while at least ``workers_wanted`` tasks are pending: the
+    batch's last tasks go to idle workers instead of waiting behind a long
+    run.  The head of a queue is the running task, so a crash or timeout is
+    charged to it alone; the tasks queued behind it go back to ``pending``
+    with no attempt charged and no second claim.
+    """
     context = get_context()
     outcomes: list[Any] = [None] * len(tasks)
     attempts = [0] * len(tasks)
@@ -384,9 +418,9 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
     pending: list[tuple[float, int]] = [(0.0, position) for position in range(len(tasks))]
     heapq.heapify(pending)
     workers: list[_Worker] = []
-    # Positions whose try_claim already succeeded: a task redispatched because
-    # its worker died before receiving it (send failure below) must keep the
-    # claim it holds, not take a second one.
+    # Positions whose try_claim already succeeded: a task sent back to
+    # pending without being run (its worker died before starting it) must
+    # keep the claim it holds, not take a second one.
     claimed: set[int] = set()
 
     def settle_success(position: int, result: Any) -> None:
@@ -412,45 +446,68 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
         settled += 1
 
     def retire(worker: _Worker) -> None:
+        """Kill a worker; the tasks queued behind its head were never started
+        and go back to pending in their original place, uncharged."""
         worker.kill()
         if worker in workers:
             workers.remove(worker)
+        for position in worker.queue[1:]:
+            heapq.heappush(pending, (0.0, position))
 
     def dispatch() -> None:
-        """Feed every eligible pending task to an idle (or new) worker."""
+        """Feed eligible pending tasks: to idle workers, then to new workers,
+        then to a queue slot behind a running task while enough are pending."""
         nonlocal settled
         now = time.monotonic()
         while pending and pending[0][0] <= now:
-            idle = next((worker for worker in workers if not worker.busy), None)
-            if idle is None and len(workers) >= workers_wanted:
+            worker = next((worker for worker in workers if not worker.queue), None)
+            spawn = worker is None and len(workers) < workers_wanted
+            if worker is None and not spawn:
+                if len(pending) < workers_wanted:
+                    return
+                worker = min(workers, key=lambda candidate: len(candidate.queue))
+                if len(worker.queue) >= QUEUE_DEPTH:
+                    return
+            entry = heapq.heappop(pending)
+            position = entry[1]
+            message = ForkingPickler.dumps((ids[position], attempts[position], tasks[position]))
+            if not spawn and worker.queue and len(message) > _MAX_QUEUED_MESSAGE_BYTES:
+                heapq.heappush(pending, entry)  # waits for an idle worker
                 return
-            _, position = heapq.heappop(pending)
             if attempts[position] == 0 and position not in claimed and try_claim is not None:
                 if not try_claim(ids[position]):
                     outcomes[position] = DEFERRED
                     settled += 1
                     continue
                 claimed.add(position)
-            if idle is None:
-                idle = _spawn_worker(context, function)
-                workers.append(idle)
-            idle.position = position
-            idle.deadline = now + policy.timeout if policy.timeout is not None else None
+            if spawn:
+                worker = _spawn_worker(context, function)
+                workers.append(worker)
+            starts_now = not worker.queue
+            worker.queue.append(position)
+            if starts_now and policy.timeout is not None:
+                worker.deadline = now + policy.timeout
             try:
-                idle.connection.send((ids[position], attempts[position], tasks[position]))
+                worker.connection.send_bytes(message)
             except OSError:
-                # The idle worker died *between* tasks (its pipe is gone).
-                # That is the worker's failure, not the task's: retire the
-                # corpse and put the task straight back — a fresh worker
-                # picks it up on the next dispatch round, no attempt
-                # charged and no second claim taken.
-                retire(idle)
-                heapq.heappush(pending, (now, position))
+                # The worker's pipe is gone: it died.  That is the worker's
+                # failure, not this task's, so the task goes straight back to
+                # pending, no attempt charged and no second claim taken.
+                worker.queue.pop()
+                heapq.heappush(pending, entry)
+                if starts_now:
+                    # It died idle: retire the corpse; a fresh worker picks
+                    # the task up on the next round.
+                    retire(worker)
+                else:
+                    # It died holding a running task: the wait loop reads
+                    # its closed pipe and charges that task the crash.
+                    return
 
     try:
         while settled < len(tasks):
             dispatch()
-            busy = [worker for worker in workers if worker.busy]
+            busy = [worker for worker in workers if worker.queue]
             if not busy:
                 if pending:
                     time.sleep(max(0.0, pending[0][0] - time.monotonic()))
@@ -459,8 +516,8 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                     raise ExecutionError("dispatcher stalled with unsettled tasks")
                 break
             # Wake at the nearest deadline, or at the next backoff expiry when a
-            # slot is free to take it: with every slot busy an eligible pending
-            # task would make the timeout 0 and the loop spin.
+            # worker is free to take it: with every worker busy an eligible
+            # pending task would make the timeout 0 and the loop spin.
             wait_timeout: float | None = None
             deadlines = [worker.deadline for worker in busy if worker.deadline is not None]
             if deadlines:
@@ -474,11 +531,11 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
             by_connection = {worker.connection: worker for worker in busy}
             for connection in ready:
                 worker = by_connection[connection]
-                position = worker.position
+                position = worker.queue[0]
                 try:
                     message = connection.recv()
                 except Exception:
-                    # The pipe died with a task in flight: the worker crashed
+                    # The pipe died with a task running: the worker crashed
                     # (OOM kill, segfault, injected SIGKILL, unpicklable state).
                     worker.process.join()
                     exit_code = worker.process.exitcode
@@ -490,20 +547,26 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                         f"{exit_code} while running task {ids[position]}",
                     )
                     continue
-                kind, task_id, _attempt, payload = message
-                worker.position = None
-                worker.deadline = None
+                kind, _task_id, _attempt, payload = message
+                # The worker has moved on to its queued task: its deadline
+                # starts now.
+                del worker.queue[0]
+                worker.deadline = (
+                    time.monotonic() + policy.timeout
+                    if worker.queue and policy.timeout is not None
+                    else None
+                )
                 if kind == "done":
-                    # Re-feed the freed worker before the (slow) settle hook.
+                    # Refill the worker's queue before the (slow) settle hook.
                     dispatch()
                     settle_success(position, payload)
                 else:
                     settle_attempt_failure(position, "error", payload)
-            # Enforce per-task wall-clock deadlines on whoever is still busy.
+            # Enforce per-task wall-clock deadlines on the running tasks.
             now = time.monotonic()
             for worker in list(workers):
-                if worker.busy and worker.deadline is not None and now >= worker.deadline:
-                    position = worker.position
+                if worker.queue and worker.deadline is not None and now >= worker.deadline:
+                    position = worker.queue[0]
                     retire(worker)
                     settle_attempt_failure(
                         position,
@@ -513,7 +576,7 @@ def _pool_map(function, tasks, ids, policy, workers_wanted, try_claim, on_settle
                     )
     finally:
         for worker in workers:
-            if worker.busy or not worker.process.is_alive():
+            if worker.queue or not worker.process.is_alive():
                 worker.kill()
             else:
                 try:

@@ -62,6 +62,31 @@ def _sleep_then_return(value):
     return value
 
 
+def _note_pid_and_sleep(value):
+    """``(directory, index, seconds)``: write this worker's pid to
+    ``directory/index.pid``, sleep, return ``index``."""
+    directory, index, seconds = value
+    with open(os.path.join(directory, f"{index}.pid"), "w") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(seconds)
+    return index
+
+
+def _sleep_then_kill_self_or_return(value):
+    """Sleep ``value`` seconds, then SIGKILL this worker if ``value`` > 0."""
+    time.sleep(value)
+    if value > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value
+
+
+def _sleep_then_measure(value):
+    """``(seconds, payload)``: sleep, then return the payload's length."""
+    seconds, payload = value
+    time.sleep(seconds)
+    return len(payload)
+
+
 def _raise_system_exit(value):
     raise SystemExit(3)
 
@@ -283,7 +308,7 @@ class TestPoolPath:
             _square, tasks, max_workers=1
         )
 
-    def test_idle_worker_death_between_tasks_charges_no_attempt(self):
+    def test_idle_worker_death_between_tasks_charges_no_attempt(self, tmp_path):
         """Regression: dispatching to a worker that died while idle lost the batch.
 
         A worker that exits *between* tasks (OOM-killed while idle, torn down
@@ -292,30 +317,70 @@ class TestPoolPath:
         not the task's: the dispatcher must retire the corpse, redispatch to a
         fresh worker, charge no attempt and take no second claim.
         """
-        # timeout forces the pool path even with one worker; retries=0 makes
-        # the assertion sharp — any wrongly-charged attempt fails the task.
+        # Two workers, three tasks: fewer tasks are pending than there are
+        # workers once the first two start, so task 2 is not queued behind
+        # either and waits for task 0's worker to go idle.  Task 1 keeps the
+        # other worker busy meanwhile.  retries=0 makes the assertion sharp:
+        # any wrongly-charged attempt fails the task.
         policy = RetryPolicy(timeout=60.0, retries=0, backoff_base=0.0)
+        tasks = [(str(tmp_path), 0, 0.0), (str(tmp_path), 1, 1.0), (str(tmp_path), 2, 0.0)]
         claims: list[int] = []
 
         def claim_and_kill_idle_worker(task_id):
             claims.append(task_id)
-            if task_id == 1:
-                # Task 0 settled, so the pool's only worker is idle right now;
+            if task_id == 2:
+                # Task 0 finished and its worker holds no task right now;
                 # kill it so the upcoming send hits a closed pipe.
+                idle_pid = int((tmp_path / "0.pid").read_text())
                 for child in multiprocessing.active_children():
-                    child.kill()
-                    child.join()
+                    if child.pid == idle_pid:
+                        child.kill()
+                        child.join()
             return True
 
         outcomes = resilient_map(
-            _square,
-            [5, 6],
-            max_workers=1,
+            _note_pid_and_sleep,
+            tasks,
+            max_workers=2,
             policy=policy,
             try_claim=claim_and_kill_idle_worker,
         )
-        assert outcomes == [25, 36]
-        assert claims == [0, 1]  # the redispatch took no second claim
+        assert outcomes == [0, 1, 2]
+        assert claims == [0, 1, 2]  # the redispatch took no second claim
+        # Task 2 ran on a fresh worker, not on the killed one.
+        assert (tmp_path / "2.pid").read_text() != (tmp_path / "0.pid").read_text()
+
+    def test_worker_death_charges_its_running_task_not_its_queued_one(self):
+        """A worker SIGKILLed while it holds a running and a queued task costs
+        the running task one attempt; the queued task was never started, so it
+        is redispatched with no attempt charged and no second claim."""
+        # One worker (the timeout forces the pool path): task 1 is queued in
+        # its pipe while task 0 runs, and task 0 kills the worker.  retries=0:
+        # a charged attempt would turn task 1 into a TaskFailure.
+        policy = RetryPolicy(timeout=60.0, retries=0, backoff_base=0.0)
+        claims: list[int] = []
+        claimed_at: dict[int, float] = {}
+        started = time.monotonic()
+
+        def claim(task_id):
+            claims.append(task_id)
+            claimed_at[task_id] = time.monotonic() - started
+            return True
+
+        running, queued = resilient_map(
+            _sleep_then_kill_self_or_return,
+            [0.5, 0.0],
+            max_workers=1,
+            policy=policy,
+            try_claim=claim,
+        )
+        assert isinstance(running, TaskFailure)
+        assert running.kind == "crash"
+        assert running.attempts == 1
+        assert queued == 0.0  # settled, with attempts == 0 (retries=0)
+        assert claims == [0, 1]
+        # Task 1 was claimed and sent well before task 0 killed its worker.
+        assert claimed_at[1] < 0.4
 
     def test_system_exit_settles_identically_on_both_paths(self):
         """Regression: serial and pool paths disagreed on BaseException tasks.
@@ -356,7 +421,7 @@ def _fail_first_attempt(value):
 
 
 class TestPoolScheduling:
-    """The parent blocks on worker pipes and re-feeds a freed worker at once."""
+    """The parent blocks on worker pipes and refills a freed worker's queue at once."""
 
     def test_pool_does_not_busy_wait(self, monkeypatch):
         """Regression: with every worker busy, an eligible pending task made the
@@ -393,10 +458,11 @@ class TestPoolScheduling:
         assert settled_at[0] < 1.0 < 2.0 <= settled_at[1]
 
     def test_freed_worker_is_refed_before_on_settled(self):
-        """When ``on_settled(k)`` fires and eligible tasks remain, the freed
-        slot's next claim has already been taken."""
+        """When ``on_settled(k)`` fires and enough tasks remain, the freed
+        worker's queue has already been refilled: its next claim is taken."""
         events: list[tuple[str, int]] = []
-        tasks = [0.01] * 8
+        tasks = [0.01] * 12
+        workers = 2
 
         def claim(task_id):
             events.append(("claim", task_id))
@@ -405,7 +471,7 @@ class TestPoolScheduling:
         resilient_map(
             _sleep_then_return,
             tasks,
-            max_workers=2,
+            max_workers=workers,
             try_claim=claim,
             on_settled=lambda task_id, _: events.append(("settled", task_id)),
         )
@@ -416,8 +482,77 @@ class TestPoolScheduling:
                 claims += 1
             else:
                 claims_at_settle.append(claims)
-        # The s-th settlement sees its own task, the other worker's task and
-        # the freed worker's next task claimed: s + 2, until the list runs out.
-        assert claims_at_settle == [
-            min(len(tasks), settled + 2) for settled in range(1, len(tasks) + 1)
+        # Every worker holds a running and a queued task, and the freed one
+        # is refilled before the settle hook: the s-th settlement sees s + 4
+        # claims while at least two tasks were still pending at the refill.
+        full = len(tasks) - 3 * workers + 1
+        assert claims_at_settle[:full] == [
+            settled + 2 * workers for settled in range(1, full + 1)
         ]
+        # Then only idle workers take the remaining tasks (no second task is
+        # queued while fewer tasks are pending than there are workers), and
+        # the last settlement has seen every claim.
+        assert all(
+            len(tasks) - workers + 1 <= claims <= len(tasks)
+            for claims in claims_at_settle[full:]
+        )
+        assert claims_at_settle[-1] == len(tasks)
+
+    def test_last_tasks_go_to_idle_workers_not_behind_a_long_run(self):
+        """With fewer tasks pending than workers, no task is queued behind a
+        running one: the last task waits for a free worker instead of sitting
+        behind task 0's long run."""
+        settled_at: dict[int, float] = {}
+        started = time.monotonic()
+        outcomes = resilient_map(
+            _sleep_then_return,
+            [1.0, 0.0, 0.0],
+            max_workers=2,
+            on_settled=lambda task_id, _: settled_at.setdefault(
+                task_id, time.monotonic() - started
+            ),
+        )
+        assert outcomes == [1.0, 0.0, 0.0]
+        assert settled_at[2] < 0.5 < 1.0 <= settled_at[0]
+
+    def test_large_task_waits_for_an_idle_worker(self):
+        """A task message larger than a page is never queued behind a running
+        task: it would sit in a pipe the busy worker is not reading, and a
+        send that fills the pipe could deadlock against a large result."""
+        claimed_at: dict[int, float] = {}
+        started = time.monotonic()
+
+        def claim(task_id):
+            claimed_at[task_id] = time.monotonic() - started
+            return True
+
+        payload = b"x" * 100_000
+        outcomes = resilient_map(
+            _sleep_then_measure,
+            [(0.3, payload), (0.3, payload)],
+            max_workers=1,
+            policy=RetryPolicy(timeout=60.0, retries=0),
+            try_claim=claim,
+        )
+        assert outcomes == [len(payload), len(payload)]
+        assert claimed_at[1] >= 0.3  # sent only once task 0 had finished
+
+    def test_queued_task_timeout_counts_from_its_start(self):
+        """A task queued behind a running one gets its full budget from the
+        moment it starts, not from when it was sent to the worker."""
+        # One worker: task 1 is sent at once and waits 1.0s behind task 0.
+        # Counted from the send it would time out at 1.5s, before it finishes
+        # at 2.0s; counted from its start its deadline is 2.5s.
+        policy = RetryPolicy(timeout=1.5, retries=0, backoff_base=0.0)
+        claimed_at: dict[int, float] = {}
+        started = time.monotonic()
+
+        def claim(task_id):
+            claimed_at[task_id] = time.monotonic() - started
+            return True
+
+        outcomes = resilient_map(
+            _sleep_then_return, [1.0, 1.0], max_workers=1, policy=policy, try_claim=claim
+        )
+        assert outcomes == [1.0, 1.0]
+        assert claimed_at[1] < 0.5  # task 1 was queued while task 0 ran

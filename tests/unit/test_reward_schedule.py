@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.constants import MAX_UNCLE_DISTANCE, NEPHEW_REWARD_FRACTION
@@ -11,8 +13,11 @@ from repro.rewards.schedule import (
     CustomSchedule,
     EthereumByzantiumSchedule,
     FlatUncleSchedule,
+    _probe_fingerprint,
     ethereum_schedule,
     flat_uncle_schedule,
+    make_schedule,
+    schedule_fingerprint,
 )
 
 
@@ -144,3 +149,38 @@ class TestFactories:
         schedule = flat_uncle_schedule(0.5)
         assert isinstance(schedule, FlatUncleSchedule)
         assert schedule.uncle_reward(4) == pytest.approx(0.5)
+
+
+#: One instance of every schedule the package ships, plus the Fig. 9
+#: unwindowed reading (probe capped at 16 distances).
+SHIPPED_SCHEDULES = [
+    EthereumByzantiumSchedule(),
+    EthereumByzantiumSchedule(static_reward=2.0),
+    FlatUncleSchedule(4 / 8),
+    FlatUncleSchedule(7 / 8, max_uncle_distance=1_000_000),
+    BitcoinSchedule(),
+    make_schedule("flat:0.25"),
+]
+
+
+class TestFingerprintCache:
+    @pytest.mark.parametrize("schedule", SHIPPED_SCHEDULES, ids=lambda s: s.describe())
+    def test_cached_fingerprint_equals_a_fresh_probe(self, schedule):
+        first = schedule_fingerprint(schedule)
+        assert first == _probe_fingerprint(schedule)
+        assert schedule_fingerprint(schedule) is first  # probed once, then cached
+
+    @pytest.mark.parametrize("schedule", SHIPPED_SCHEDULES, ids=lambda s: s.describe())
+    def test_pickled_copy_keeps_the_fingerprint(self, schedule):
+        schedule_fingerprint(schedule)
+        copy = pickle.loads(pickle.dumps(schedule))
+        # The cache is not pickled: the copy probes afresh and agrees.
+        assert "_fingerprint" not in copy.__dict__
+        assert schedule_fingerprint(copy) == _probe_fingerprint(copy)
+        assert schedule_fingerprint(copy) == schedule_fingerprint(schedule)
+        assert copy == schedule and hash(copy) == hash(schedule)
+
+    def test_custom_schedule_is_cached_too(self):
+        schedule = CustomSchedule(lambda d: 0.5 / d, lambda d: 0.01)
+        assert schedule_fingerprint(schedule) == _probe_fingerprint(schedule)
+        assert schedule_fingerprint(schedule) is schedule_fingerprint(schedule)
