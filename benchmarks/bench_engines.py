@@ -49,7 +49,7 @@ def lumped_chain(max_lead: int) -> MarkovChain:
 
 @pytest.mark.parametrize("max_lead", [60, 200])
 def test_stationary_solve_benchmark(benchmark, max_lead):
-    """The production solve of the lumped chain: the pure-Python banded elimination."""
+    """The production elimination of the lumped chain, through its ``MarkovChain`` wrapper."""
     result = benchmark(banded_stationary_distribution, lumped_chain(max_lead))
     assert result.total_probability() == pytest.approx(1.0)
 

@@ -14,8 +14,8 @@ The computation is a single weighted sum: for every transition ``t`` out of stat
 ``s``, the expected reward record of ``t`` is weighted by ``pi(s) * rate(t)`` — the
 long-run frequency of that transition — and the weighted records are settled by
 :func:`~repro.analysis.reward_cases.fold_rewards`.  :func:`stationary_rates` does
-this for any chain over a truncated state space; the MDP policy evaluator calls it
-too, on the ``(Ls, Lh)`` space.
+this for any chain given by state indices; the MDP policy evaluator calls it too,
+on the ``(Ls, Lh)`` space.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..markov.chain import MarkovChain
-from ..markov.state import LumpedSpace, StateSpace
-from ..markov.stationary import StationaryResult, banded_stationary_distribution
-from ..markov.transitions import SelfishTransition, selfish_mining_transitions
+from ..markov.state import LumpedSpace
+from ..markov.transitions import LumpedChain, SelfishTransition
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
@@ -120,23 +118,23 @@ class RevenueRates:
 
 def stationary_rates(
     params: MiningParams,
-    space: StateSpace,
-    stationary: StationaryResult,
-    transitions: Sequence[SelfishTransition],
+    probabilities: Sequence[float],
+    sources: Sequence[int],
+    rates: Sequence[float],
     record_for: Callable[[int], TransitionRewards],
+    boundary: Sequence[int],
 ) -> RevenueRates:
-    """Long-run rates of a chain over ``space`` from its solved ``stationary`` vector.
+    """Long-run rates of a chain from its solved stationary ``probabilities``.
 
-    Each of ``transitions`` is weighted by its long-run frequency
-    ``pi(source) * rate``; ``record_for(k)`` is asked for the Appendix-B record of
-    ``transitions[k]`` only when that weight is non-zero, and the weighted records
-    are settled by :func:`~repro.analysis.reward_cases.fold_rewards`.  The chain's
-    states must be in ``space`` order.
+    Transition ``k`` leaves state index ``sources[k]`` at ``rates[k]`` and is
+    weighted by its long-run frequency ``probabilities[sources[k]] * rates[k]``;
+    ``record_for(k)`` is asked for its Appendix-B record only when that weight is
+    non-zero, and the weighted records are settled by
+    :func:`~repro.analysis.reward_cases.fold_rewards`.  ``boundary`` lists the
+    indices of the truncation boundary, whose mass is
+    :attr:`RevenueRates.truncation_mass`.
     """
-    probabilities = stationary.probabilities
-    index_of = space.index_of
-    sources = [index_of(transition.source) for transition in transitions]
-    weights = np.asarray(probabilities)[sources] * np.asarray([t.rate for t in transitions])
+    weights = np.asarray(probabilities)[sources] * np.asarray(rates)
     live = np.flatnonzero(weights).tolist()
     # Rows are filled one record at a time so no record outlives its row.
     components = np.empty((len(live), len(REWARD_COMPONENTS)))
@@ -155,9 +153,7 @@ def stationary_rates(
         honest_uncle_rate=totals.honest_uncle_blocks,
         honest_uncle_distance_rates=totals.honest_uncle_distance_counts,
         stale_rate=totals.stale_blocks,
-        truncation_mass=sum(
-            probability for probability, state in zip(probabilities, space) if space.on_boundary(state)
-        ),
+        truncation_mass=sum(probabilities[index] for index in boundary),
     )
 
 
@@ -178,10 +174,14 @@ class RevenueModel:
 
     So the chain is strongly lumpable, and solving the representatives gives the
     rates of the unlumped chain with its lead capped instead of its private branch.
-    In this state order every inflow comes from a neighbouring lead, so the chain
-    is banded and is solved by the pure-Python elimination
-    :func:`~repro.markov.stationary.banded_stationary_distribution`, in
-    ``O(max_lead)`` and without scipy.
+
+    The chain's structure does not depend on ``(alpha, gamma)``: the model
+    compiles it once, as a :class:`~repro.markov.transitions.LumpedChain`.  A
+    parameter point then computes its transitions' rates, runs one banded
+    elimination (:func:`~repro.markov.stationary.banded_solve`, ``O(max_lead)``
+    and without scipy: in this state order every inflow comes from a
+    neighbouring lead) and folds the Appendix-B records of transitions that
+    carry that point's rates.
 
     Parameters
     ----------
@@ -196,7 +196,7 @@ class RevenueModel:
         ``gamma = 0.5``) and 5.5e-19 at 200; at ``alpha = 0.3`` and
         ``max_lead = 60``, 3.4e-23.
 
-    The state space is built once and reused across parameter points.
+    One model serves any number of parameter points, in any order.
     """
 
     #: Default truncation level; see the class docstring.
@@ -205,19 +205,21 @@ class RevenueModel:
     def __init__(self, schedule: RewardSchedule | None = None, *, max_lead: int = DEFAULT_MAX_LEAD) -> None:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
-        self._space = LumpedSpace(self.max_lead)
+        self.chain = LumpedChain(LumpedSpace(self.max_lead))
 
     def revenue_rates(self, params: MiningParams) -> RevenueRates:
         """Compute the long-run revenue and block rates at ``params``."""
-        labelled = selfish_mining_transitions(params, self._space)
-        chain = MarkovChain(self._space.states, [t.as_transition() for t in labelled])
-        return stationary_rates(
-            params,
-            self._space,
-            banded_stationary_distribution(chain),
-            labelled,
-            lambda k: transition_rewards(labelled[k], params, self.schedule),
-        )
+        chain = self.chain
+        rates = chain.rates(params)
+        probabilities, _ = chain.solve(rates)
+        edges = chain.edges
+
+        def record_for(k: int) -> TransitionRewards:
+            source, target, kind = edges[k]
+            transition = SelfishTransition(source, target, rates[k], kind)
+            return transition_rewards(transition, params, self.schedule)
+
+        return stationary_rates(params, probabilities, chain.sources, rates, record_for, chain.boundary)
 
     def relative_pool_revenue(self, params: MiningParams) -> float:
         """Convenience wrapper returning only the pool's relative revenue ``Rs``."""

@@ -36,7 +36,7 @@ from ..params import MiningParams
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
 from ..backends import available_backends
 from ..scenarios import ScenarioSpec, run_scenario
-from ..simulation.metrics import AggregatedResult
+from ..simulation.metrics import AggregatedResult, reported_spread
 from ..utils.tables import Table
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -159,7 +159,9 @@ class OptimalFrontierResult:
         for alpha, aggregate in zip(self.alphas, self.simulated_optimal):
             cell = self.cell(alpha, self.validation_gamma)
             measured = aggregate.relative_pool_revenue
-            table.add_row(alpha, cell.optimal_revenue, measured.mean, measured.std, measured.count)
+            table.add_row(
+                alpha, cell.optimal_revenue, measured.mean, reported_spread(measured), measured.count
+            )
         return table.render()
 
     def _catalogue_table(self) -> str:

@@ -180,6 +180,10 @@ class StateSpace:
         """True if the pool's extension out of ``state`` self-loops (``Ls == max_lead``)."""
         return state.private == self._max_lead
 
+    def boundary_indices(self) -> list[int]:
+        """Indices of the states :meth:`on_boundary` picks, in index order."""
+        return [position for position, state in enumerate(self._states) if self.on_boundary(state)]
+
     def describe(self) -> str:
         """Short human-readable summary of the truncated space."""
         return f"{type(self).__name__}(max_lead={self._max_lead}, states={len(self)})"

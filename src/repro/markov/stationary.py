@@ -1,14 +1,16 @@
 """The stationary distribution of a finite Markov chain.
 
 Both solvers find the global balance equations' solution ``pi Q = 0`` with the
-normalisation ``sum(pi) = 1`` and return a :class:`StationaryResult` that maps
-states to probabilities and records its residual, so the experiment drivers can
-report the numerical quality alongside the reproduced figures.
+normalisation ``sum(pi) = 1`` and report its residual, so the experiment drivers
+can report the numerical quality alongside the reproduced figures.  On a
+:class:`~repro.markov.chain.MarkovChain` they return a :class:`StationaryResult`
+that maps states to probabilities.
 
-* :func:`banded_stationary_distribution` is a pure-Python elimination for chains
+* :func:`banded_solve` is a pure-Python elimination on state indices for chains
   whose inflows stay near the diagonal in state order, such as the
   :class:`~repro.markov.state.LumpedSpace` chain the analytical revenue model
-  solves.  It needs neither scipy nor BLAS.
+  solves; :func:`banded_stationary_distribution` applies it to a
+  :class:`~repro.markov.chain.MarkovChain`.  It needs neither scipy nor BLAS.
 * :func:`stationary_distribution` is one sparse direct LU solve (SuperLU) for any
   chain: the MDP's ``(Ls, Lh)`` chains, the Bitcoin model and the test oracles.
   scipy is imported only when it runs.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Generic, Hashable, Mapping, TypeVar
+from typing import Generic, Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -70,19 +72,23 @@ def _residual(chain: MarkovChain[StateT], distribution: np.ndarray) -> float:
     return float(np.max(np.abs(distribution @ generator)))
 
 
-def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
+def banded_solve(size: int, moves: Sequence[tuple[int, int, float]]) -> tuple[tuple[float, ...], float]:
     """Solve ``pi Q = 0, sum(pi) = 1`` by Gaussian elimination on Python rows.
 
+    The chain has states ``0 .. size - 1`` and ``Q``'s off-diagonal entries
+    come from ``moves``, ``(source, target, rate)`` triples without self-loops;
+    repeated pairs add up.  Returns the probabilities and the residual
+    ``max |pi Q|``.
+
     The system is the anchored ``Q^T pi = 0`` of :func:`stationary_distribution`:
-    row 0 is replaced by ``pi[0] = 1``.  It is assembled straight from
-    ``chain.transitions`` as one ``{column: value}`` dictionary per row,
-    eliminated without pivoting in state order, back-substituted and
-    renormalised.  The anchor row has nothing off its diagonal, and the rest of
-    ``Q^T`` is column diagonally dominant: each column holds a state's exit rate
-    on the diagonal and at most the same rate spread over the other rows.
-    Elimination preserves that property (growth factor at most 2), so it is
-    stable without pivoting.  A zero pivot means the anchor state is not
-    recurrent and raises :class:`SolverError`.
+    row 0 is replaced by ``pi[0] = 1``.  It is assembled as one
+    ``{column: value}`` dictionary per row, eliminated without pivoting in state
+    order, back-substituted and renormalised.  The anchor row has nothing off
+    its diagonal, and the rest of ``Q^T`` is column diagonally dominant: each
+    column holds a state's exit rate on the diagonal and at most the same rate
+    spread over the other rows.  Elimination preserves that property (growth
+    factor at most 2), so it is stable without pivoting.  A zero pivot means the
+    anchor state is not recurrent and raises :class:`SolverError`.
 
     Fill-in stays inside the matrix's envelope, so the cost follows the chain's
     bandwidth in state order.  In
@@ -92,12 +98,6 @@ def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResu
     ``O(max_lead)``.  A chain with wide inflows, like the ``(Ls, Lh)`` chain,
     fills in badly; solve it with :func:`stationary_distribution`.
     """
-    size = len(chain)
-    index = chain.index_of
-    # Self-loops cancel out of the generator, as in ``generator_matrix``.
-    moves = [
-        (index(t.source), index(t.target), t.rate) for t in chain.transitions if t.source != t.target
-    ]
     rows: list[dict[int, float]] = [{} for _ in range(size)]
     for source, target, rate in moves:
         rows[target][source] = rows[target].get(source, 0.0) + rate
@@ -121,7 +121,7 @@ def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResu
                     row[column] = row.get(column, 0.0) - factor * value
             rhs[i] -= factor * rhs[k]
         if not row.get(i):
-            raise SolverError(f"zero pivot at state {chain.state_at(i)!r} (anchor state starved?)")
+            raise SolverError(f"zero pivot at state index {i} (anchor state starved?)")
     solution = [0.0] * size
     for i in range(size - 1, -1, -1):
         row = rows[i]
@@ -129,18 +129,27 @@ def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResu
         solution[i] = (rhs[i] - upper) / row[i]
     if not all(math.isfinite(value) for value in solution):
         raise SolverError("banded solve produced non-finite values (anchor state starved?)")
-    distribution = _clean_distribution(np.asarray(solution))
-    probabilities = distribution.tolist()
+    probabilities = _clean_distribution(np.asarray(solution)).tolist()
     net_inflow = [0.0] * size
     for source, target, rate in moves:
         flow = probabilities[source] * rate
         net_inflow[target] += flow
         net_inflow[source] -= flow
-    return StationaryResult(
-        chain=chain,
-        probabilities=tuple(probabilities),
-        residual=max(abs(value) for value in net_inflow),
-    )
+    return tuple(probabilities), max(abs(value) for value in net_inflow)
+
+
+def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
+    """The stationary distribution of ``chain`` by :func:`banded_solve`.
+
+    Self-loops are dropped, as they cancel out of the generator.  The chain
+    must be banded in its state order, as :func:`banded_solve` explains.
+    """
+    index = chain.index_of
+    moves = [
+        (index(t.source), index(t.target), t.rate) for t in chain.transitions if t.source != t.target
+    ]
+    probabilities, residual = banded_solve(len(chain), moves)
+    return StationaryResult(chain=chain, probabilities=probabilities, residual=residual)
 
 
 def stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:

@@ -195,9 +195,17 @@ class MdpSolver:
         chosen = [model.actions[int(flat)] for flat in policy]
         transitions = [t for action in chosen for t in action.transitions]
         records = [r for action in chosen for r in action.records]
-        chain = MarkovChain(model.space.states, [t.as_transition() for t in transitions])
+        space = model.space
+        chain = MarkovChain(space.states, [t.as_transition() for t in transitions])
         stationary = stationary_distribution(chain)
-        rates = stationary_rates(self.params, model.space, stationary, transitions, records.__getitem__)
+        rates = stationary_rates(
+            self.params,
+            stationary.probabilities,
+            [space.index_of(t.source) for t in transitions],
+            [t.rate for t in transitions],
+            records.__getitem__,
+            space.boundary_indices(),
+        )
         return PolicyEvaluation(rates=rates, residual=stationary.residual)
 
     def evaluate_decisions(self, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:

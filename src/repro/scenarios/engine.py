@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..simulation.metrics import AggregatedResult, aggregate_results
+from ..simulation.metrics import AggregatedResult, aggregate_results, reported_spread
 from ..simulation.runner import RunFailure, execute_runs
 from ..utils.resilient import RetryPolicy
 from ..utils.tables import Table
@@ -159,7 +159,7 @@ class ScenarioRunResult:
                 revenue, spread, runs = "-", "-", f"failed ({len(outcome.failures)})"
             else:
                 stats = outcome.aggregate.relative_pool_revenue
-                revenue, spread, runs = stats.mean, stats.std, stats.count
+                revenue, spread, runs = stats.mean, reported_spread(stats), stats.count
             table.add_row(
                 cell.backend,
                 cell.schedule_label,

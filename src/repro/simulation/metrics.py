@@ -245,6 +245,15 @@ def mean_std(values: Sequence[float]) -> MeanStd:
     return MeanStd(mean=mean, std=math.sqrt(variance), count=count)
 
 
+def reported_spread(stats: MeanStd) -> float | str:
+    """``stats.std`` for a report cell, or ``"n/a"`` below two runs.
+
+    A sample standard deviation needs two values; :func:`mean_std` records 0 for
+    one run so aggregates stay comparable, but a report must not print it.
+    """
+    return stats.std if stats.count >= 2 else "n/a"
+
+
 #: Backwards-compatible private alias (pre-PR 3 spelling).
 _mean_std = mean_std
 

@@ -223,8 +223,9 @@ def full_chain_revenue_rates(model: RevenueModel, params: MiningParams) -> Reven
     chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
     return stationary_rates(
         params,
-        space,
-        stationary_distribution(chain),
-        labelled,
+        stationary_distribution(chain).probabilities,
+        [space.index_of(t.source) for t in labelled],
+        [t.rate for t in labelled],
         lambda k: transition_rewards(labelled[k], params, model.schedule),
+        space.boundary_indices(),
     )

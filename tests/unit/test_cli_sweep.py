@@ -101,6 +101,16 @@ class TestRunSweep:
         warm = run_sweep(scenario_file(tmp_path), cache_dir=tmp_path / "cache")
         assert "0 runs executed, 4 from cache" in warm
 
+    @pytest.mark.parametrize("runs,spread", [(1, "n/a"), (2, None)])
+    def test_std_column_is_undefined_below_two_runs(self, tmp_path, runs, spread):
+        report = run_sweep(scenario_file(tmp_path, num_runs=runs, alphas=[0.35], strategies=["selfish"]))
+        row = next(line.split() for line in report.splitlines() if line.startswith("markov "))
+        assert row[5] == str(runs)
+        if spread is not None:
+            assert row[7] == spread
+        else:
+            assert float(row[7]) > 0.0
+
     def test_max_cells_leaves_cells_pending(self, tmp_path):
         report = run_sweep(
             scenario_file(tmp_path), cache_dir=tmp_path / "cache", max_cells=1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ParameterError
@@ -13,6 +15,7 @@ from repro.experiments.network import run_network
 from repro.experiments.optimal import run_optimal
 from repro.experiments.strategies import run_strategy_comparison
 from repro.experiments.table2 import run_table2
+from repro.simulation.metrics import MeanStd
 
 
 class TestOptimalFrontierDriver:
@@ -49,6 +52,27 @@ class TestOptimalFrontierDriver:
         assert "solver vs chain simulation" in text
         assert "stubborn catalogue" in text
         assert "profitability threshold" in text
+
+    def test_one_run_cells_print_no_spread(self, result):
+        # A standard deviation from one run is undefined, not zero.
+        rows = self._validation_rows(result.report())
+        assert rows and all(row[-2:] == ["n/a", "1"] for row in rows)
+
+    def test_cells_with_two_runs_print_their_spread(self, result):
+        two_runs = tuple(
+            dataclasses.replace(
+                aggregate,
+                relative_pool_revenue=MeanStd(aggregate.relative_pool_revenue.mean, 0.0123, 2),
+            )
+            for aggregate in result.simulated_optimal
+        )
+        rows = self._validation_rows(dataclasses.replace(result, simulated_optimal=two_runs).report())
+        assert rows and all(row[-2:] == ["0.0123", "2"] for row in rows)
+
+    @staticmethod
+    def _validation_rows(report: str) -> list[list[str]]:
+        section = report.split("solver vs chain simulation")[1].split("\n\n")[0]
+        return [line.split() for line in section.splitlines()[3:]]
 
     def test_markov_backend_rejected_for_the_catalogue_section(self):
         with pytest.raises(ParameterError, match="markov"):

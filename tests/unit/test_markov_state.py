@@ -111,6 +111,12 @@ class TestLumpedSpace:
         full = StateSpace(6)
         assert [state for state in full if full.on_boundary(state)] == [State(6, j) for j in range(5)]
 
+    def test_boundary_indices_follow_on_boundary(self):
+        for space in (LumpedSpace(6), StateSpace(6)):
+            assert space.boundary_indices() == [
+                space.index_of(state) for state in space if space.on_boundary(state)
+            ]
+
     def test_max_lead_below_two_rejected(self):
         with pytest.raises(StateSpaceError):
             LumpedSpace(1)

@@ -106,7 +106,7 @@ class TestSolverErrors:
         return MarkovChain([0, 1], [Transition(0, 1, 1.0), Transition(1, 1, 1.0)])
 
     def test_banded_solve_reports_the_zero_pivot(self):
-        with pytest.raises(SolverError, match="zero pivot"):
+        with pytest.raises(SolverError, match="zero pivot at state index 1"):
             banded_stationary_distribution(self.transient_anchor_chain())
 
     def test_sparse_lu_solve_reports_the_singular_system(self):

@@ -6,7 +6,13 @@ import pytest
 from reference_markov import build_selfish_mining_chain
 
 from repro.markov.state import LumpedSpace, State, StateSpace
-from repro.markov.transitions import TransitionKind, selfish_mining_transitions, transitions_from_state
+from repro.markov.transitions import (
+    LumpedChain,
+    TransitionKind,
+    rate_values,
+    selfish_mining_transitions,
+    transitions_from_state,
+)
 from repro.params import MiningParams
 
 PARAMS = MiningParams(alpha=0.3, gamma=0.4)
@@ -151,3 +157,50 @@ class TestChainConstruction:
         transitions = list(transitions_from_state(State(6, 2), params, max_lead=20))
         honest_branch = [t for t in transitions if t.kind is TransitionKind.HONEST_ON_HONEST_BRANCH]
         assert honest_branch[0].rate == 0.0
+
+
+class TestRateColumn:
+    def test_each_kind_reads_its_rate_from_the_table(self):
+        expected = {
+            TransitionKind.HONEST_EXTENDS_CONSENSUS: BETA,
+            TransitionKind.POOL_HIDES_FIRST_BLOCK: ALPHA,
+            TransitionKind.POOL_BUILDS_LEAD_OF_TWO: ALPHA,
+            TransitionKind.HONEST_FORCES_TIE: BETA,
+            TransitionKind.TIE_RESOLVED: ALPHA + BETA,
+            TransitionKind.POOL_EXTENDS_PRIVATE_LEAD: ALPHA,
+            TransitionKind.HONEST_ON_PREFIX_LONG_LEAD: BETA * GAMMA,
+            TransitionKind.HONEST_ON_PREFIX_LEAD_TWO: BETA * GAMMA,
+            TransitionKind.HONEST_CLOSES_LEAD_TWO: BETA,
+            TransitionKind.HONEST_FORKS_LONG_LEAD: BETA,
+            TransitionKind.HONEST_ON_HONEST_BRANCH: BETA * (1.0 - GAMMA),
+            TransitionKind.HONEST_ON_HONEST_LEAD_TWO: BETA * (1.0 - GAMMA),
+        }
+        assert {kind: rate_values(PARAMS)[kind.rate_index] for kind in TransitionKind} == expected
+
+    def test_every_transition_carries_its_kinds_rate(self):
+        values = rate_values(PARAMS)
+        for transition in selfish_mining_transitions(PARAMS, LumpedSpace(6)):
+            assert transition.rate == values[transition.kind.rate_index]
+
+    def test_kinds_are_still_looked_up_by_case_number(self):
+        assert [TransitionKind(case) for case in range(1, 13)] == list(TransitionKind)
+        assert TransitionKind.TIE_RESOLVED.case_number == 5
+
+
+class TestLumpedChain:
+    def test_indices_and_states_describe_the_same_transitions(self):
+        space = LumpedSpace(8)
+        chain = LumpedChain(space)
+        assert len(chain.edges) == len(chain.sources) == len(chain.targets)
+        for (source, target, _), source_index, target_index in zip(chain.edges, chain.sources, chain.targets):
+            assert space.state_at(source_index) == source
+            assert space.state_at(target_index) == target
+
+    def test_moves_leave_out_exactly_the_self_loops(self):
+        chain = LumpedChain(LumpedSpace(8))
+        loops = [k for k, (source, target, _) in enumerate(chain.edges) if source == target]
+        assert loops and sorted(chain.moves + loops) == list(range(len(chain.edges)))
+
+    def test_boundary_is_the_lead_cap(self):
+        space = LumpedSpace(8)
+        assert LumpedChain(space).boundary == [space.index_of(State(8, 0)), space.index_of(State(9, 1))]

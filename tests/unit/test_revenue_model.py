@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 from reference_markov import full_chain_revenue_rates, scalar_revenue_rates
 
+from repro.analysis import revenue as revenue_module
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.reward_cases import transition_rewards
+from repro.markov.chain import MarkovChain
+from repro.markov.stationary import banded_stationary_distribution
 from repro.markov.state import LumpedSpace, StateSpace
 from repro.markov.transitions import selfish_mining_transitions, transitions_from_state
 from repro.params import MiningParams
@@ -126,6 +132,47 @@ class TestTruncationAndReuse:
         text = ethereum_model.describe()
         assert "EthereumByzantiumSchedule" in text
         assert "max_lead=60" in text
+
+    @pytest.mark.parametrize("max_lead", [2, 60])
+    def test_one_model_over_a_shuffled_repeating_sequence_equals_a_fresh_model_per_point(self, max_lead):
+        points = [MiningParams(alpha=alpha, gamma=gamma) for alpha in (1e-4, 0.2, 0.45) for gamma in (0.0, 0.5, 1.0)]
+        sequence = points * 3
+        random.Random(7).shuffle(sequence)
+        reused = RevenueModel(FlatUncleSchedule(0.5), max_lead=max_lead)
+        for params in sequence:
+            fresh = RevenueModel(FlatUncleSchedule(0.5), max_lead=max_lead).revenue_rates(params)
+            evaluated = reused.revenue_rates(params)
+            for field in dataclasses.fields(fresh):
+                assert getattr(evaluated, field.name) == getattr(fresh, field.name), field.name
+
+    @pytest.mark.parametrize("max_lead", [2, 60])
+    def test_every_record_carries_its_own_points_rates(self, max_lead, monkeypatch):
+        seen = []
+
+        def spy(transition, params, schedule):
+            seen.append(transition)
+            return transition_rewards(transition, params, schedule)
+
+        monkeypatch.setattr(revenue_module, "transition_rewards", spy)
+        model = RevenueModel(max_lead=max_lead)
+        for params in (MiningParams(alpha=0.3, gamma=0.2), MiningParams(alpha=0.1, gamma=0.9)):
+            seen.clear()
+            model.revenue_rates(params)
+            expected = selfish_mining_transitions(params, LumpedSpace(max_lead))
+            # At max_lead 2 no lead reaches 3, so the forked lead-2 class is never
+            # visited: its three transitions weigh 0 and need no record.
+            unvisited = 3 if max_lead == 2 else 0
+            assert seen == [t for t in expected if t in seen]
+            assert len(seen) == len(expected) - unvisited
+
+    @pytest.mark.parametrize("max_lead", [2, 60])
+    def test_the_models_solve_equals_the_banded_solve_of_the_lumped_chain(self, max_lead):
+        model = RevenueModel(max_lead=max_lead)
+        space = LumpedSpace(max_lead)
+        for params in (MiningParams(alpha=0.3, gamma=0.0), MiningParams(alpha=0.45, gamma=0.5)):
+            chain = MarkovChain(space.states, [t.as_transition() for t in selfish_mining_transitions(params, space)])
+            expected = banded_stationary_distribution(chain)
+            assert model.chain.solve(model.chain.rates(params)) == (expected.probabilities, expected.residual)
 
 
 #: The figure-8 alpha grid (0.0 to 0.45 in steps of 0.05).
