@@ -21,16 +21,17 @@ on the ``(Ls, Lh)`` space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..markov.state import LumpedSpace
-from ..markov.transitions import LumpedChain, SelfishTransition
+from ..markov.transitions import LumpedChain
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
-from .reward_cases import REWARD_COMPONENTS, TransitionRewards, fold_rewards, transition_rewards
+from .reward_cases import RewardRows, fold_rewards
 
 
 @dataclass(frozen=True)
@@ -121,28 +122,25 @@ def stationary_rates(
     probabilities: Sequence[float],
     sources: Sequence[int],
     rates: Sequence[float],
-    record_for: Callable[[int], TransitionRewards],
+    rows_for: Callable[[np.ndarray], tuple[np.ndarray, Sequence[Sequence[tuple[bool, int, float]]]]],
     boundary: Sequence[int],
 ) -> RevenueRates:
     """Long-run rates of a chain from its solved stationary ``probabilities``.
 
     Transition ``k`` leaves state index ``sources[k]`` at ``rates[k]`` and is
-    weighted by its long-run frequency ``probabilities[sources[k]] * rates[k]``;
-    ``record_for(k)`` is asked for its Appendix-B record only when that weight is
-    non-zero, and the weighted records are settled by
+    weighted by its long-run frequency ``probabilities[sources[k]] * rates[k]``.
+    ``rows_for(live)`` is asked once, for the indices of the transitions whose
+    weight is non-zero, and returns their Appendix-B component rows and
+    distance rows (:meth:`~repro.analysis.reward_cases.RewardRows.gather`, or
+    :func:`~repro.analysis.reward_cases.record_rows` over per-transition
+    records); the weighted rows are settled by
     :func:`~repro.analysis.reward_cases.fold_rewards`.  ``boundary`` lists the
     indices of the truncation boundary, whose mass is
     :attr:`RevenueRates.truncation_mass`.
     """
     weights = np.asarray(probabilities)[sources] * np.asarray(rates)
-    live = np.flatnonzero(weights).tolist()
-    # Rows are filled one record at a time so no record outlives its row.
-    components = np.empty((len(live), len(REWARD_COMPONENTS)))
-    distance_rows = []
-    for row, k in enumerate(live):
-        record = record_for(k)
-        components[row] = record.component_vector()
-        distance_rows.append(record.distance_contributions())
+    live = np.flatnonzero(weights)
+    components, distance_rows = rows_for(live)
     totals = fold_rewards(weights[live].tolist(), components, distance_rows)
     return RevenueRates(
         params=params,
@@ -168,20 +166,27 @@ class RevenueModel:
 
     * cases 7 and 11 both go to lead ``d - 1`` with ``j >= 1``;
     * case 10 goes from ``(d, 0)`` to lead ``d - 1``, forked;
-    * :func:`~repro.analysis.reward_cases.transition_rewards` reads
-      ``source.lead``, and ``source.private`` only in case 10, where ``j == 0``
-      makes it equal to the lead.
+    * a record reads the source state only through its uncle distance
+      (:func:`~repro.analysis.reward_cases.row_key`): ``source.lead`` in case 7
+      and ``source.private`` in case 10, where ``j == 0`` makes it equal to the
+      lead.
 
     So the chain is strongly lumpable, and solving the representatives gives the
     rates of the unlumped chain with its lead capped instead of its private branch.
 
-    The chain's structure does not depend on ``(alpha, gamma)``: the model
-    compiles it once, as a :class:`~repro.markov.transitions.LumpedChain`.  A
-    parameter point then computes its transitions' rates, runs one banded
-    elimination (:func:`~repro.markov.stationary.banded_solve`, ``O(max_lead)``
-    and without scipy: in this state order every inflow comes from a
-    neighbouring lead) and folds the Appendix-B records of transitions that
-    carry that point's rates.
+    Neither the chain's structure nor which Appendix-B row each transition
+    takes depends on ``(alpha, gamma)``.  The model compiles both once: the
+    chain as a :class:`~repro.markov.transitions.LumpedChain`, and its
+    transitions' row keys, with the schedule resolved once per uncle distance,
+    as a :class:`~repro.analysis.reward_cases.RewardRows` (65 distinct rows for
+    300 transitions at ``max_lead = 60``).  A parameter point then computes its
+    transitions' rates, runs one banded elimination
+    (:func:`~repro.markov.stationary.banded_solve`, ``O(max_lead)`` and without
+    scipy: in this state order every inflow comes from a neighbouring lead),
+    computes each keyed row once with its own ``alpha``, ``beta`` and
+    ``gamma``, gathers the rows per transition of non-zero weight and folds
+    them.  A schedule that pays a negative reward at a distance the chain
+    reaches raises :class:`~repro.errors.ParameterError` on construction.
 
     Parameters
     ----------
@@ -206,20 +211,15 @@ class RevenueModel:
         self.schedule = schedule if schedule is not None else EthereumByzantiumSchedule()
         self.max_lead = int(max_lead)
         self.chain = LumpedChain(LumpedSpace(self.max_lead))
+        self.rewards = RewardRows([(source, kind) for source, _, kind in self.chain.edges], self.schedule)
 
     def revenue_rates(self, params: MiningParams) -> RevenueRates:
         """Compute the long-run revenue and block rates at ``params``."""
         chain = self.chain
         rates = chain.rates(params)
         probabilities, _ = chain.solve(rates)
-        edges = chain.edges
-
-        def record_for(k: int) -> TransitionRewards:
-            source, target, kind = edges[k]
-            transition = SelfishTransition(source, target, rates[k], kind)
-            return transition_rewards(transition, params, self.schedule)
-
-        return stationary_rates(params, probabilities, chain.sources, rates, record_for, chain.boundary)
+        rows_for = partial(self.rewards.gather, params)
+        return stationary_rates(params, probabilities, chain.sources, rates, rows_for, chain.boundary)
 
     def relative_pool_revenue(self, params: MiningParams) -> float:
         """Convenience wrapper returning only the pool's relative revenue ``Rs``."""

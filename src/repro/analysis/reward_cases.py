@@ -39,16 +39,26 @@ per transition — a Monte Carlo visit count, or the long-run frequency
 ``weights @ component_matrix`` product over :data:`REWARD_COMPONENTS`.  The
 analytical model, the MDP policy evaluator and the compiled-table Monte Carlo
 backend all settle through it.
+
+Each case's formula is written once, as a row function of the parameter point and
+the schedule's rewards at the row's uncle distance.  :func:`transition_rewards`
+wraps one row in a record.  :class:`RewardRows` compiles a fixed list of
+transitions instead: the transitions that share a case formula and distance
+(:func:`row_key`) share a row, so the analytical model computes each of its 65
+distinct rows once per parameter point (at ``max_lead = 60``) and gathers them
+per transition, rather than building 300 records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import StateSpaceError
+from ..markov.state import State
 from ..markov.transitions import SelfishTransition, TransitionKind
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards
@@ -73,6 +83,11 @@ REWARD_COMPONENTS = (
     "honest_uncle_blocks",
     "stale",
 )
+
+#: A record's fields as one tuple, the form the Appendix-B row formulas return:
+#: the pool's static, uncle and nephew rewards, the honest miners' three, then the
+#: regular, referenced-uncle and pool-mined probabilities.
+RowFields = tuple[float, float, float, float, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -122,23 +137,19 @@ class TransitionRewards:
         ``visit_count * component`` reproduces repeated scalar accumulation up to
         float reassociation.
         """
-        pool_mined = self.pool_mined_probability
-        regular = self.regular_probability
-        uncle = self.uncle_probability
-        return (
-            self.pool.static,
-            self.pool.uncle,
-            self.pool.nephew,
-            self.honest.static,
-            self.honest.uncle,
-            self.honest.nephew,
-            regular,
-            regular * pool_mined,
-            regular * (1.0 - pool_mined),
-            uncle,
-            uncle * pool_mined,
-            uncle * (1.0 - pool_mined),
-            self.stale_probability,
+        pool, honest = self.pool, self.honest
+        return _component_row(
+            (
+                pool.static,
+                pool.uncle,
+                pool.nephew,
+                honest.static,
+                honest.uncle,
+                honest.nephew,
+                self.regular_probability,
+                self.uncle_probability,
+                self.pool_mined_probability,
+            )
         )
 
     def distance_contributions(self) -> tuple[tuple[bool, int, float], ...]:
@@ -148,17 +159,36 @@ class TransitionRewards:
         block becomes a referenced uncle at ``distance`` mined by the pool
         (``pool_mined``) or by honest miners.  Empty when it can never be one.
         """
-        distance = self.uncle_distance
-        uncle = self.uncle_probability
-        pool_mined = self.pool_mined_probability
-        if distance is None or uncle <= 0.0:
-            return ()
-        contributions: list[tuple[bool, int, float]] = []
-        if pool_mined < 1.0:
-            contributions.append((False, distance, uncle * (1.0 - pool_mined)))
-        if pool_mined > 0.0:
-            contributions.append((True, distance, uncle * pool_mined))
-        return tuple(contributions)
+        return _distance_row(self.uncle_distance, self.uncle_probability, self.pool_mined_probability)
+
+
+def _component_row(fields: RowFields) -> tuple[float, ...]:
+    """A row's :data:`REWARD_COMPONENTS` from its record fields (see :data:`RowFields`)."""
+    regular, uncle, pool_mined = fields[6:]
+    return (
+        *fields[:6],
+        regular,
+        regular * pool_mined,
+        regular * (1.0 - pool_mined),
+        uncle,
+        uncle * pool_mined,
+        uncle * (1.0 - pool_mined),
+        max(0.0, 1.0 - regular - uncle),
+    )
+
+
+def _distance_row(
+    distance: int | None, uncle: float, pool_mined: float
+) -> tuple[tuple[bool, int, float], ...]:
+    """A row's referenced-uncle mass by miner (:meth:`TransitionRewards.distance_contributions`)."""
+    if distance is None or uncle <= 0.0:
+        return ()
+    contributions: list[tuple[bool, int, float]] = []
+    if pool_mined < 1.0:
+        contributions.append((False, distance, uncle * (1.0 - pool_mined)))
+    if pool_mined > 0.0:
+        contributions.append((True, distance, uncle * pool_mined))
+    return tuple(contributions)
 
 
 @dataclass(frozen=True)
@@ -216,14 +246,32 @@ def fold_rewards(
     )
 
 
+def record_rows(
+    record_for: Callable[[int], TransitionRewards], indices: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, list[tuple[tuple[bool, int, float], ...]]]:
+    """The component rows and distance rows of the records ``record_for(k)`` for ``k`` in ``indices``.
+
+    The per-record counterpart of :meth:`RewardRows.gather`, for chains whose
+    records are built one transition at a time.  Rows are filled one record at
+    a time so no record outlives its row.
+    """
+    components = np.empty((len(indices), len(REWARD_COMPONENTS)))
+    distance_rows = []
+    for row, k in enumerate(indices):
+        record = record_for(k)
+        components[row] = record.component_vector()
+        distance_rows.append(record.distance_contributions())
+    return components, distance_rows
+
+
 def _nephew_honest_probability(params: MiningParams, distance: int) -> float:
     """Probability honest miners win the nephew reward of an uncle at ``distance``.
 
-    Appendix B (Cases 7-10): honest miners must first push the race back to ``(0, 0)``
-    without the pool finding a block (probability ``beta**(distance-2)`` when the lead
-    is ``distance``... folded into ``beta**(distance-1)`` below together with the final
-    step), and then win the block that does the referencing, which they do with
-    probability ``beta * (1 + alpha*beta*(1-gamma))``.
+    Appendix B (Cases 7-10): honest miners first bring the race back to ``(0, 0)``
+    without the pool finding a block, with probability ``beta**(distance-2)``, and
+    then mine the block that references the uncle, with probability
+    ``beta*(1 + alpha*beta*(1-gamma))``.  The product is
+    ``beta**(distance-1) * (1 + alpha*beta*(1-gamma))``.
     """
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     if distance < 2:
@@ -233,139 +281,148 @@ def _nephew_honest_probability(params: MiningParams, distance: int) -> float:
     return min(1.0, probability)
 
 
-def _case_1(params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition) -> TransitionRewards:
+#: A schedule resolved at one uncle distance ``d``: ``(static_reward,
+#: uncle_reward(d), nephew_reward(d), includable(d))``.  The row formulas below
+#: take it instead of the schedule, so a compiled model asks the schedule once
+#: per distance rather than once per record.
+ScheduleTerms = tuple[float, float, float, bool]
+
+
+def _case_1(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """Honest block extends the consensus chain; it is regular with certainty."""
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(),
-        honest=PartyRewards(static=schedule.static_reward),
-        regular_probability=1.0,
-        uncle_probability=0.0,
-        uncle_distance=None,
-        pool_mined_probability=0.0,
-    )
+    return (0.0, 0.0, 0.0, terms[0], 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
-def _case_2(params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition) -> TransitionRewards:
+def _case_2(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """The pool withholds its first block of a new race.
 
     Regular with probability ``alpha + alpha*beta + beta**2*gamma``; otherwise an
     uncle at distance 1 whose nephew reward goes to honest miners.
     """
+    static, uncle_reward, nephew_reward, includable = terms
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     regular_probability = alpha + alpha * beta + beta * beta * gamma
     uncle_probability = beta * beta * (1.0 - gamma)
-    uncle_reward = schedule.uncle_reward(1)
-    nephew_reward = schedule.nephew_reward(1)
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(
-            static=schedule.static_reward * regular_probability,
-            uncle=uncle_reward * uncle_probability,
-        ),
-        honest=PartyRewards(nephew=nephew_reward * uncle_probability),
-        regular_probability=regular_probability,
-        uncle_probability=uncle_probability if schedule.includable(1) else 0.0,
-        uncle_distance=1,
-        pool_mined_probability=1.0,
+    return (
+        static * regular_probability,
+        uncle_reward * uncle_probability,
+        0.0,
+        0.0,
+        0.0,
+        nephew_reward * uncle_probability,
+        regular_probability,
+        uncle_probability if includable else 0.0,
+        1.0,
     )
 
 
-def _pool_certain_regular(
-    params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition
-) -> TransitionRewards:
+def _pool_certain_regular(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """Pool block mined on an existing lead; regular with probability 1 (Lemma 1)."""
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(static=schedule.static_reward),
-        honest=PartyRewards(),
-        regular_probability=1.0,
-        uncle_probability=0.0,
-        uncle_distance=None,
-        pool_mined_probability=1.0,
-    )
+    return (terms[0], 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
-def _case_4(params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition) -> TransitionRewards:
+def _case_4(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """An honest block forces a 1-vs-1 tie.
 
     Regular with probability ``beta*(1-gamma)``; otherwise an uncle at distance 1.
     The nephew reward goes to the pool with probability ``alpha`` (it references the
     uncle from its winning block) and to honest miners with probability ``beta*gamma``.
     """
+    static, uncle_reward, nephew_reward, includable = terms
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     regular_probability = beta * (1.0 - gamma)
     uncle_probability = alpha + beta * gamma
-    uncle_reward = schedule.uncle_reward(1)
-    nephew_reward = schedule.nephew_reward(1)
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(nephew=nephew_reward * alpha),
-        honest=PartyRewards(
-            static=schedule.static_reward * regular_probability,
-            uncle=uncle_reward * uncle_probability,
-            nephew=nephew_reward * beta * gamma,
-        ),
-        regular_probability=regular_probability,
-        uncle_probability=uncle_probability if schedule.includable(1) else 0.0,
-        uncle_distance=1,
-        pool_mined_probability=0.0,
+    return (
+        0.0,
+        0.0,
+        nephew_reward * alpha,
+        static * regular_probability,
+        uncle_reward * uncle_probability,
+        nephew_reward * beta * gamma,
+        regular_probability,
+        uncle_probability if includable else 0.0,
+        0.0,
     )
 
 
-def _case_5(params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition) -> TransitionRewards:
+def _case_5(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """The 1-vs-1 tie resolves; whoever mines the resolving block gets a regular block."""
+    static = terms[0]
     alpha, beta = params.alpha, params.beta
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(static=schedule.static_reward * alpha),
-        honest=PartyRewards(static=schedule.static_reward * beta),
-        regular_probability=1.0,
-        uncle_probability=0.0,
-        uncle_distance=None,
-        pool_mined_probability=alpha,
-    )
+    return (static * alpha, 0.0, 0.0, static * beta, 0.0, 0.0, 1.0, 0.0, alpha)
 
 
-def _honest_becomes_uncle(
-    params: MiningParams,
-    schedule: RewardSchedule,
-    transition: SelfishTransition,
-    distance: int,
-) -> TransitionRewards:
+def _honest_becomes_uncle(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """Cases 7-10: an honest block loses to the pool's lead and becomes an uncle.
 
     The block is an uncle at ``distance`` with certainty; the nephew reward goes to
     honest miners with probability ``beta**(distance-1) * (1 + alpha*beta*(1-gamma))``.
     """
-    uncle_reward = schedule.uncle_reward(distance)
-    nephew_reward = schedule.nephew_reward(distance)
+    _, uncle_reward, nephew_reward, includable = terms
     honest_nephew_probability = _nephew_honest_probability(params, distance)
     pool_nephew_probability = 1.0 - honest_nephew_probability
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(nephew=nephew_reward * pool_nephew_probability),
-        honest=PartyRewards(
-            uncle=uncle_reward,
-            nephew=nephew_reward * honest_nephew_probability,
-        ),
-        regular_probability=0.0,
-        uncle_probability=1.0 if schedule.includable(distance) else 0.0,
-        uncle_distance=distance,
-        pool_mined_probability=0.0,
+    return (
+        0.0,
+        0.0,
+        nephew_reward * pool_nephew_probability,
+        0.0,
+        uncle_reward,
+        nephew_reward * honest_nephew_probability,
+        0.0,
+        1.0 if includable else 0.0,
+        0.0,
     )
 
 
-def _no_reward(params: MiningParams, schedule: RewardSchedule, transition: SelfishTransition) -> TransitionRewards:
+def _no_reward(params: MiningParams, terms: ScheduleTerms, distance: int | None) -> RowFields:
     """Cases 11 and 12: an honest block on a losing honest branch earns nothing."""
-    return TransitionRewards(
-        transition=transition,
-        pool=PartyRewards(),
-        honest=PartyRewards(),
-        regular_probability=0.0,
-        uncle_probability=0.0,
-        uncle_distance=None,
-        pool_mined_probability=0.0,
+    return (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+_LEAD = attrgetter("lead")
+_PRIVATE = attrgetter("private")
+
+#: Each kind's row formula and its uncle distance: a number, ``None`` when the
+#: target block can never be an uncle, or read off the source state.
+_ROW_OF_KIND = {
+    TransitionKind.HONEST_EXTENDS_CONSENSUS: (_case_1, None),
+    TransitionKind.POOL_HIDES_FIRST_BLOCK: (_case_2, 1),
+    TransitionKind.POOL_BUILDS_LEAD_OF_TWO: (_pool_certain_regular, None),
+    TransitionKind.HONEST_FORCES_TIE: (_case_4, 1),
+    TransitionKind.TIE_RESOLVED: (_case_5, None),
+    TransitionKind.POOL_EXTENDS_PRIVATE_LEAD: (_pool_certain_regular, None),
+    TransitionKind.HONEST_ON_PREFIX_LONG_LEAD: (_honest_becomes_uncle, _LEAD),
+    TransitionKind.HONEST_ON_PREFIX_LEAD_TWO: (_honest_becomes_uncle, 2),
+    TransitionKind.HONEST_CLOSES_LEAD_TWO: (_honest_becomes_uncle, 2),
+    TransitionKind.HONEST_FORKS_LONG_LEAD: (_honest_becomes_uncle, _PRIVATE),
+    TransitionKind.HONEST_ON_HONEST_BRANCH: (_no_reward, None),
+    TransitionKind.HONEST_ON_HONEST_LEAD_TWO: (_no_reward, None),
+}
+
+
+def row_key(kind: TransitionKind, source: State) -> tuple[Callable[..., RowFields], int | None]:
+    """The row formula of a ``kind`` transition out of ``source``, and its uncle distance.
+
+    Two transitions with the same key have the same record fields at every
+    parameter point: the cases that share a formula share it, and cases 7-10
+    depend on the source state only through the distance.
+    """
+    entry = _ROW_OF_KIND.get(kind)
+    if entry is None:
+        raise StateSpaceError(f"unhandled transition kind {kind!r}")
+    row, distance = entry
+    return row, distance(source) if callable(distance) else distance
+
+
+def _resolve_schedule(schedule: RewardSchedule, distance: int | None) -> ScheduleTerms:
+    """``(static, uncle_reward, nephew_reward, includable)`` of ``schedule`` at ``distance``."""
+    if distance is None:
+        return schedule.static_reward, 0.0, 0.0, False
+    return (
+        schedule.static_reward,
+        schedule.uncle_reward(distance),
+        schedule.nephew_reward(distance),
+        schedule.includable(distance),
     )
 
 
@@ -375,31 +432,54 @@ def transition_rewards(
     schedule: RewardSchedule,
 ) -> TransitionRewards:
     """Return the expected-reward record for ``transition`` (Appendix B case analysis)."""
-    kind = transition.kind
-    source = transition.source
+    row, distance = row_key(transition.kind, transition.source)
+    fields = row(params, _resolve_schedule(schedule, distance), distance)
+    return TransitionRewards(
+        transition=transition,
+        pool=PartyRewards(*fields[0:3]),
+        honest=PartyRewards(*fields[3:6]),
+        regular_probability=fields[6],
+        uncle_probability=fields[7],
+        uncle_distance=distance,
+        pool_mined_probability=fields[8],
+    )
 
-    if kind is TransitionKind.HONEST_EXTENDS_CONSENSUS:
-        return _case_1(params, schedule, transition)
-    if kind is TransitionKind.POOL_HIDES_FIRST_BLOCK:
-        return _case_2(params, schedule, transition)
-    if kind is TransitionKind.POOL_BUILDS_LEAD_OF_TWO:
-        return _pool_certain_regular(params, schedule, transition)
-    if kind is TransitionKind.HONEST_FORCES_TIE:
-        return _case_4(params, schedule, transition)
-    if kind is TransitionKind.TIE_RESOLVED:
-        return _case_5(params, schedule, transition)
-    if kind is TransitionKind.POOL_EXTENDS_PRIVATE_LEAD:
-        return _pool_certain_regular(params, schedule, transition)
-    if kind is TransitionKind.HONEST_ON_PREFIX_LONG_LEAD:
-        return _honest_becomes_uncle(params, schedule, transition, distance=source.lead)
-    if kind is TransitionKind.HONEST_ON_PREFIX_LEAD_TWO:
-        return _honest_becomes_uncle(params, schedule, transition, distance=2)
-    if kind is TransitionKind.HONEST_CLOSES_LEAD_TWO:
-        return _honest_becomes_uncle(params, schedule, transition, distance=2)
-    if kind is TransitionKind.HONEST_FORKS_LONG_LEAD:
-        return _honest_becomes_uncle(params, schedule, transition, distance=source.private)
-    if kind is TransitionKind.HONEST_ON_HONEST_BRANCH:
-        return _no_reward(params, schedule, transition)
-    if kind is TransitionKind.HONEST_ON_HONEST_LEAD_TWO:
-        return _no_reward(params, schedule, transition)
-    raise StateSpaceError(f"unhandled transition kind {kind!r}")
+
+class RewardRows:
+    """The Appendix-B rows of a fixed list of transitions under one schedule, compiled once.
+
+    ``moves`` gives each transition's source state and kind.  Each transition
+    gets a row key (:func:`row_key`); transitions sharing a key share a row, so
+    the lumped chain's 300 transitions at ``max_lead = 60`` have 65 rows.  The
+    schedule is resolved here, once per distinct uncle distance, so a schedule
+    whose rewards are invalid at a distance the transitions reach raises its
+    :class:`~repro.errors.ParameterError` on construction.
+
+    :meth:`gather` computes every row once at a parameter point and reads the
+    rows off per transition.  They equal the
+    :meth:`~TransitionRewards.component_vector` and
+    :meth:`~TransitionRewards.distance_contributions` of
+    :func:`transition_rewards` at those transitions, value for value.
+    """
+
+    def __init__(self, moves: Iterable[tuple[State, TransitionKind]], schedule: RewardSchedule) -> None:
+        keys = [row_key(kind, source) for source, kind in moves]
+        position = {key: index for index, key in enumerate(dict.fromkeys(keys))}
+        #: Each transition's row, as a position in the distinct rows.
+        self.key_index = np.array([position[key] for key in keys], dtype=np.intp)
+        distances = dict.fromkeys(distance for _, distance in position)
+        resolved = {distance: _resolve_schedule(schedule, distance) for distance in distances}
+        self._rows = [(row, distance, resolved[distance]) for row, distance in position]
+
+    def gather(
+        self, params: MiningParams, indices: Sequence[int] | np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[tuple[bool, int, float], ...]]]:
+        """The component rows and distance rows of the transitions at ``indices``, at ``params``."""
+        components = []
+        distance_rows = []
+        for row, distance, terms in self._rows:
+            fields = row(params, terms, distance)
+            components.append(_component_row(fields))
+            distance_rows.append(_distance_row(distance, fields[7], fields[8]))
+        keys = self.key_index[indices]
+        return np.array(components, dtype=np.float64)[keys], [distance_rows[key] for key in keys.tolist()]

@@ -31,11 +31,13 @@ workers, each of which re-solves at most once per parameter point) stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..analysis.revenue import RevenueRates, stationary_rates
+from ..analysis.reward_cases import record_rows
 from ..errors import ConvergenceError, ParameterError
 from ..markov.chain import MarkovChain
 from ..markov.state import State
@@ -203,7 +205,7 @@ class MdpSolver:
             stationary.probabilities,
             [space.index_of(t.source) for t in transitions],
             [t.rate for t in transitions],
-            records.__getitem__,
+            partial(record_rows, records.__getitem__),
             space.boundary_indices(),
         )
         return PolicyEvaluation(rates=rates, residual=stationary.residual)

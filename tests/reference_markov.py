@@ -19,11 +19,13 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy import sparse
 
 from repro.analysis.revenue import RevenueModel, RevenueRates, stationary_rates
-from repro.analysis.reward_cases import transition_rewards
+from repro.analysis.reward_cases import record_rows, transition_rewards
 from repro.errors import ConvergenceError
 from repro.markov.chain import MarkovChain
 from repro.markov.state import LumpedSpace, State, StateSpace
@@ -226,6 +228,6 @@ def full_chain_revenue_rates(model: RevenueModel, params: MiningParams) -> Reven
         stationary_distribution(chain).probabilities,
         [space.index_of(t.source) for t in labelled],
         [t.rate for t in labelled],
-        lambda k: transition_rewards(labelled[k], params, model.schedule),
+        partial(record_rows, lambda k: transition_rewards(labelled[k], params, model.schedule)),
         space.boundary_indices(),
     )

@@ -8,7 +8,6 @@ import random
 import pytest
 from reference_markov import full_chain_revenue_rates, scalar_revenue_rates
 
-from repro.analysis import revenue as revenue_module
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.reward_cases import transition_rewards
 from repro.markov.chain import MarkovChain
@@ -144,26 +143,6 @@ class TestTruncationAndReuse:
             evaluated = reused.revenue_rates(params)
             for field in dataclasses.fields(fresh):
                 assert getattr(evaluated, field.name) == getattr(fresh, field.name), field.name
-
-    @pytest.mark.parametrize("max_lead", [2, 60])
-    def test_every_record_carries_its_own_points_rates(self, max_lead, monkeypatch):
-        seen = []
-
-        def spy(transition, params, schedule):
-            seen.append(transition)
-            return transition_rewards(transition, params, schedule)
-
-        monkeypatch.setattr(revenue_module, "transition_rewards", spy)
-        model = RevenueModel(max_lead=max_lead)
-        for params in (MiningParams(alpha=0.3, gamma=0.2), MiningParams(alpha=0.1, gamma=0.9)):
-            seen.clear()
-            model.revenue_rates(params)
-            expected = selfish_mining_transitions(params, LumpedSpace(max_lead))
-            # At max_lead 2 no lead reaches 3, so the forked lead-2 class is never
-            # visited: its three transitions weigh 0 and need no record.
-            unvisited = 3 if max_lead == 2 else 0
-            assert seen == [t for t in expected if t in seen]
-            assert len(seen) == len(expected) - unvisited
 
     @pytest.mark.parametrize("max_lead", [2, 60])
     def test_the_models_solve_equals_the_banded_solve_of_the_lumped_chain(self, max_lead):
