@@ -16,7 +16,6 @@ distance-based uncle reward effectively subsidises the attacker.
 from __future__ import annotations
 
 from repro import ChainSimulator, MiningParams, Scenario, SimulationConfig, ethereum_schedule
-from repro.simulation.runner import honest_baseline_config
 from repro.utils.tables import Table
 
 
@@ -38,7 +37,7 @@ def main() -> None:
     config = SimulationConfig(params=params, schedule=schedule, num_blocks=60_000, seed=11)
 
     selfish_result = ChainSimulator(config).run()
-    honest_result = ChainSimulator(honest_baseline_config(config)).run()
+    honest_result = ChainSimulator(config.with_strategy("honest")).run()
 
     table = Table(
         headers=[

@@ -6,7 +6,8 @@ Run with::
 
 The script sweeps the pool size and compares, side by side,
 
-* the Eyal-Sirer Bitcoin relative revenue (closed form and our 1-D Markov model),
+* the Eyal-Sirer Bitcoin relative revenue (closed form and our 2-D engine run with a
+  Bitcoin-style reward schedule),
 * the Ethereum relative revenue under Byzantium rewards,
 * the pool's *absolute* revenue in Ethereum under both difficulty scenarios,
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from repro import (
     BitcoinSchedule,
-    BitcoinSelfishMiningModel,
     MiningParams,
     RevenueModel,
     Scenario,
@@ -37,13 +37,11 @@ ALPHAS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45]
 def main() -> None:
     ethereum_model = RevenueModel(ethereum_schedule(), max_lead=60)
     bitcoin_as_ethereum = RevenueModel(BitcoinSchedule(), max_lead=60)
-    bitcoin_numeric = BitcoinSelfishMiningModel(max_lead=60)
 
     table = Table(
         headers=[
             "alpha",
             "Bitcoin Rs (closed form)",
-            "Bitcoin Rs (1-D chain)",
             "Bitcoin Rs (2-D engine)",
             "Ethereum Rs",
             "Ethereum Us (scen. 1)",
@@ -54,7 +52,6 @@ def main() -> None:
     for alpha in ALPHAS:
         params = MiningParams(alpha=alpha, gamma=GAMMA)
         closed_form = bitcoin_relative_revenue(params)
-        one_dimensional = bitcoin_numeric.relative_pool_revenue(params)
         bitcoin_rates = bitcoin_as_ethereum.revenue_rates(params)
         two_dimensional = bitcoin_rates.pool.static / (
             bitcoin_rates.pool.static + bitcoin_rates.honest.static
@@ -65,7 +62,6 @@ def main() -> None:
         table.add_row(
             alpha,
             closed_form,
-            one_dimensional,
             two_dimensional,
             ethereum_rates.relative_pool_revenue,
             scenario1,
@@ -74,7 +70,7 @@ def main() -> None:
     print(table.render())
     print()
     print("Observations:")
-    print("  * the three Bitcoin columns agree to numerical precision — the 2-D Ethereum")
+    print("  * the two Bitcoin columns agree to numerical precision — the 2-D Ethereum")
     print("    engine degenerates to the Eyal-Sirer model when uncle rewards are removed;")
     print("  * Ethereum's scenario-1 absolute revenue crosses the honest line at a smaller")
     print("    pool size than Bitcoin's 0.25 (at gamma=0.5), which is the paper's headline;")

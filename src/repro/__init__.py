@@ -10,7 +10,7 @@ them be compared number for number:
 * a **discrete-event simulator** that materialises every block, runs Algorithm 1
   against honest miners and settles rewards on the final chain
   (:mod:`repro.simulation`, :mod:`repro.chain`);
-* the **Eyal–Sirer Bitcoin baseline** used for comparison
+* the **Eyal–Sirer Bitcoin baseline** used for comparison, in closed form
   (:mod:`repro.analysis.bitcoin`).
 
 Typical quick start::
@@ -27,13 +27,11 @@ the command line.
 """
 
 from .analysis.absolute import AbsoluteRevenue, Scenario, absolute_revenue
-from .analysis.bitcoin import BitcoinSelfishMiningModel, bitcoin_relative_revenue, bitcoin_threshold
-from .analysis.closed_form_revenue import ClosedFormRevenue, closed_form_revenue
-from .analysis.honest import honest_absolute_revenue, honest_relative_revenue
+from .analysis.bitcoin import bitcoin_relative_revenue, bitcoin_threshold
 from .analysis.revenue import RevenueModel, RevenueRates
-from .analysis.sweep import sweep_alpha, sweep_gamma
+from .analysis.sweep import sweep_alpha
 from .analysis.threshold import ThresholdResult, profitable_threshold
-from .analysis.uncle_distance import UncleDistanceDistribution, honest_uncle_distance_distribution
+from .analysis.uncle_distance import UncleDistanceDistribution
 from .errors import (
     ChainStructureError,
     ConvergenceError,
@@ -70,13 +68,7 @@ from .simulation.metrics import (
     SimulationResult,
     aggregate_results,
 )
-from .simulation.runner import (
-    run_many,
-    run_many_grid,
-    run_once,
-    simulate_alpha_sweep,
-    simulate_strategy_sweep,
-)
+from .simulation.runner import run_many, run_once
 from .strategies import (
     Action,
     EqualForkStubbornStrategy,
@@ -97,10 +89,8 @@ __all__ = [
     "Action",
     "AggregatedResult",
     "BitcoinSchedule",
-    "BitcoinSelfishMiningModel",
     "ChainSimulator",
     "ChainStructureError",
-    "ClosedFormRevenue",
     "ConstantLatency",
     "ConvergenceError",
     "CustomSchedule",
@@ -147,12 +137,8 @@ __all__ = [
     "config_fingerprint",
     "bitcoin_relative_revenue",
     "bitcoin_threshold",
-    "closed_form_revenue",
     "ethereum_schedule",
     "flat_uncle_schedule",
-    "honest_absolute_revenue",
-    "honest_relative_revenue",
-    "honest_uncle_distance_distribution",
     "make_simulator",
     "make_strategy",
     "multi_pool_topology",
@@ -160,14 +146,10 @@ __all__ = [
     "register_backend",
     "register_strategy",
     "run_many",
-    "run_many_grid",
     "run_once",
     "run_scenario",
     "run_scenarios",
-    "simulate_alpha_sweep",
-    "simulate_strategy_sweep",
     "single_pool_topology",
     "sweep_alpha",
-    "sweep_gamma",
     "__version__",
 ]

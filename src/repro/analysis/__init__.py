@@ -7,39 +7,30 @@ results:
   Appendix B (Cases 1–12), one expected-reward record per transition;
 * :mod:`repro.analysis.revenue` — long-run revenue rates for the pool and honest
   miners, by reward type;
-* :mod:`repro.analysis.closed_form_revenue` — the literal closed forms of
-  Eqs. (3)–(9) for comparison;
 * :mod:`repro.analysis.absolute` — absolute revenues under the two
   difficulty-adjustment scenarios of Section IV-E.2;
 * :mod:`repro.analysis.threshold` — the profitability threshold ``alpha*``;
 * :mod:`repro.analysis.uncle_distance` — the honest uncle-distance distribution
   (Table II);
-* :mod:`repro.analysis.bitcoin` — the Eyal–Sirer Bitcoin baseline;
-* :mod:`repro.analysis.honest` — the protocol-following baseline;
-* :mod:`repro.analysis.sweep` — parameter-sweep helpers used by the experiment
-  drivers.
+* :mod:`repro.analysis.bitcoin` — the Eyal–Sirer Bitcoin baseline in closed form;
+* :mod:`repro.analysis.sweep` — the alpha sweep used by the experiment drivers.
+
+The paper's printed closed forms (Eq. 2, Eqs. 3–9) and the numerical 1-D
+Eyal–Sirer chain are test oracles, kept under ``tests/`` beside the suites that
+compare them with this model.
 """
 
 from .absolute import AbsoluteRevenue, Scenario, absolute_revenue
-from .bitcoin import (
-    BitcoinSelfishMiningModel,
-    bitcoin_relative_revenue,
-    bitcoin_threshold,
-)
-from .closed_form_revenue import ClosedFormRevenue, closed_form_revenue
-from .honest import honest_absolute_revenue, honest_relative_revenue
+from .bitcoin import bitcoin_relative_revenue, bitcoin_threshold
 from .revenue import RevenueModel, RevenueRates
 from .reward_cases import TransitionRewards, transition_rewards
-from .sweep import AlphaSweep, GammaSweep, sweep_alpha, sweep_gamma
+from .sweep import AlphaSweep, sweep_alpha
 from .threshold import ThresholdResult, profitable_threshold
-from .uncle_distance import UncleDistanceDistribution, honest_uncle_distance_distribution
+from .uncle_distance import UncleDistanceDistribution
 
 __all__ = [
     "AbsoluteRevenue",
     "AlphaSweep",
-    "BitcoinSelfishMiningModel",
-    "ClosedFormRevenue",
-    "GammaSweep",
     "RevenueModel",
     "RevenueRates",
     "Scenario",
@@ -49,12 +40,7 @@ __all__ = [
     "absolute_revenue",
     "bitcoin_relative_revenue",
     "bitcoin_threshold",
-    "closed_form_revenue",
-    "honest_absolute_revenue",
-    "honest_relative_revenue",
-    "honest_uncle_distance_distribution",
     "profitable_threshold",
     "sweep_alpha",
-    "sweep_gamma",
     "transition_rewards",
 ]

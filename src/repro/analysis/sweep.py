@@ -1,22 +1,21 @@
 """Parameter-sweep helpers shared by the experiment drivers and benchmarks.
 
-The paper's figures are all sweeps: Fig. 8 and Fig. 9 sweep the pool size ``alpha`` at
-fixed ``gamma``, Fig. 10 sweeps ``gamma`` and reports a profitability threshold for
-each value.  These helpers wrap the revenue/threshold machinery into result containers
-that carry aligned arrays ready for tabulation (or plotting, for users with a plotting
-stack installed).
+Fig. 8 and Fig. 9 sweep the pool size ``alpha`` at fixed ``gamma``.  These helpers
+wrap the revenue machinery into result containers that carry aligned arrays ready for
+tabulation (or plotting, for users with a plotting stack installed).  Fig. 10's
+``gamma`` axis is a loop over :func:`repro.analysis.threshold.profitable_threshold`
+in its driver.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from ..params import MiningParams
 from ..rewards.schedule import RewardSchedule
 from .absolute import AbsoluteRevenue, Scenario, absolute_revenue
 from .revenue import RevenueModel, RevenueRates
-from .threshold import ThresholdResult, profitable_threshold
 
 
 def alpha_grid(start: float = 0.0, stop: float = 0.45, step: float = 0.05) -> list[float]:
@@ -125,44 +124,4 @@ def sweep_alpha(
         scenario=scenario,
         schedule_name=type(model.schedule).__name__,
         points=tuple(points),
-    )
-
-
-@dataclass(frozen=True)
-class GammaSweep:
-    """Profitability thresholds over a grid of ``gamma`` values (one Fig. 10 curve)."""
-
-    scenario: Scenario
-    schedule_name: str
-    results: tuple[ThresholdResult, ...] = field(default_factory=tuple)
-
-    @property
-    def gammas(self) -> list[float]:
-        """The swept ``gamma`` values."""
-        return [result.gamma for result in self.results]
-
-    @property
-    def thresholds(self) -> list[float]:
-        """The threshold ``alpha*`` per swept point."""
-        return [result.alpha_star for result in self.results]
-
-
-def sweep_gamma(
-    gammas: Sequence[float],
-    *,
-    schedule: RewardSchedule | None = None,
-    scenario: Scenario = Scenario.REGULAR_ONLY,
-    model: RevenueModel | None = None,
-    max_lead: int = 60,
-) -> GammaSweep:
-    """Compute the profitability threshold for every ``gamma`` in ``gammas``."""
-    if model is None:
-        model = RevenueModel(schedule, max_lead=max_lead)
-    results = [
-        profitable_threshold(gamma, scenario=scenario, model=model) for gamma in gammas
-    ]
-    return GammaSweep(
-        scenario=scenario,
-        schedule_name=type(model.schedule).__name__,
-        results=tuple(results),
     )

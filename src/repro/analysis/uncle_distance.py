@@ -6,9 +6,10 @@ honest miners' uncles drift to larger distances — and therefore smaller reward
 the pool grows.  Table II quantifies this with the distribution of honest uncles over
 referencing distances 1..6 at ``gamma = 0.5`` for ``alpha = 0.3`` and ``alpha = 0.45``.
 
-:func:`honest_uncle_distance_distribution` reproduces that table from the analytical
-model: the per-distance creation rates of honest referenced uncles are read off the
-revenue engine and normalised over the protocol-includable distances.
+:func:`distribution_from_rates` reproduces that table from the analytical model: the
+per-distance creation rates of honest referenced uncles are read off a point's
+:class:`~repro.analysis.revenue.RevenueRates` and normalised over the
+protocol-includable distances.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping
 from ..constants import MAX_UNCLE_DISTANCE
 from ..errors import ParameterError
 from ..params import MiningParams
-from .revenue import RevenueModel, RevenueRates
+from .revenue import RevenueRates
 
 
 @dataclass(frozen=True)
@@ -75,31 +76,3 @@ def distribution_from_rates(
         probabilities=probabilities,
         max_distance=max_distance,
     )
-
-
-def honest_uncle_distance_distribution(
-    params: MiningParams,
-    *,
-    model: RevenueModel | None = None,
-    max_lead: int = 60,
-    max_distance: int = MAX_UNCLE_DISTANCE,
-) -> UncleDistanceDistribution:
-    """Compute the Table-II distribution at ``params``.
-
-    Parameters
-    ----------
-    params:
-        The ``(alpha, gamma)`` point (Table II uses ``gamma = 0.5``).
-    model:
-        Optionally a pre-built revenue model to reuse; the reward schedule does not
-        affect the distribution (only block classification matters), so any schedule
-        works.
-    max_lead:
-        Truncation used when building a model on the fly.
-    max_distance:
-        Largest referencing distance included in the normalisation (6 in Ethereum).
-    """
-    if model is None:
-        model = RevenueModel(max_lead=max_lead)
-    rates = model.revenue_rates(params)
-    return distribution_from_rates(rates, max_distance=max_distance)

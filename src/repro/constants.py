@@ -48,8 +48,3 @@ PAPER_NUM_RUNS: Final[int] = 10
 
 #: Number of miners in the paper's simulated system (Section V).
 PAPER_NUM_MINERS: Final[int] = 1_000
-
-#: Bitcoin's profitability threshold as a function of gamma (Eyal & Sirer):
-#: ``alpha* = (1 - gamma) / (3 - 2 * gamma)``.  Stored here only as documentation of
-#: the closed form; the callable lives in :mod:`repro.analysis.bitcoin`.
-BITCOIN_THRESHOLD_FORMULA: Final[str] = "(1 - gamma) / (3 - 2 * gamma)"

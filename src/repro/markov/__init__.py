@@ -10,13 +10,13 @@ public branch lengths, Section IV-B).  This subpackage provides:
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
 * :mod:`repro.markov.stationary` — the stationary-distribution solves: a pure-Python
   banded elimination for the lumped analytical chain and a sparse LU (scipy) for
-  every other chain,
-* :mod:`repro.markov.closed_form` — the closed-form distribution of Eq. (2) and the
-  multiple-summation helper ``f(x, y, z)`` of Appendix A.
+  every other chain.
+
+The closed-form distribution of Eq. (2) and the multiple-summation helper
+``f(x, y, z)`` of Appendix A are a test oracle (``tests/reference_closed_form.py``).
 """
 
 from .chain import MarkovChain, Transition
-from .closed_form import closed_form_distribution, multiple_summation, pi_00, pi_11, pi_i0, pi_ij
 from .state import LumpedSpace, State, StateSpace, ZERO_STATE
 from .stationary import StationaryResult, stationary_distribution
 from .transitions import selfish_mining_transitions
@@ -29,12 +29,6 @@ __all__ = [
     "StationaryResult",
     "Transition",
     "ZERO_STATE",
-    "closed_form_distribution",
-    "multiple_summation",
-    "pi_00",
-    "pi_11",
-    "pi_i0",
-    "pi_ij",
     "selfish_mining_transitions",
     "stationary_distribution",
 ]

@@ -12,7 +12,7 @@ that maps states to probabilities.
   solves; :func:`banded_stationary_distribution` applies it to a
   :class:`~repro.markov.chain.MarkovChain`.  It needs neither scipy nor BLAS.
 * :func:`stationary_distribution` is one sparse direct LU solve (SuperLU) for any
-  chain: the MDP's ``(Ls, Lh)`` chains, the Bitcoin model and the test oracles.
+  chain: the MDP's ``(Ls, Lh)`` chains and the test oracles.
   scipy is imported only when it runs.
 """
 

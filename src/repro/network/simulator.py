@@ -390,7 +390,7 @@ class NetworkSimulator:
                 picks_pos += 1
                 miner = miners[index]
                 if miner.strategic:
-                    # _create_block stamps created_at from the attribute; keep
+                    # _pool_mines stamps created_at from the attribute; keep
                     # it in sync with the local counter before delegating.
                     self._events_run = events_run
                     pool_mines(miner, time)
@@ -412,7 +412,6 @@ class NetworkSimulator:
                                     tie_wins += 1
                             elif any(is_pool_block(other) for other in competitors):
                                 tie_losses += 1
-                    # Inlined _create_block (honest, always published).
                     uncle_ids = (
                         select_uncles(
                             parent_id,
@@ -747,7 +746,6 @@ class NetworkSimulator:
     def _honest_mines(self, miner: _HonestState, time: float) -> None:
         parent_id = miner.preferred_id
         self._count_tie(miner, parent_id)
-        # Inlined _create_block/_select_uncles (the honest event-loop hot path).
         tree = self.tree
         uncle_ids = (
             tree.select_uncles(
@@ -853,7 +851,6 @@ class NetworkSimulator:
             self._apply(pool, action, race, time)
 
     def _pool_mines(self, pool: _PoolState, time: float) -> None:
-        # Inlined _create_block/_select_uncles (this is the pools' hot path).
         tree = self.tree
         branch = pool.branch
         parent_id = branch[-1] if branch else pool.anchor_id
@@ -929,36 +926,6 @@ class NetworkSimulator:
         for position in range(pool.published_count, upto):
             self._broadcast(pool, pool.branch[position], time)
         pool.published_count = max(pool.published_count, upto)
-
-    # ------------------------------------------------------------------ block creation
-    def _select_uncles(self, miner: _MinerState, parent_id: int) -> list[int]:
-        """Uncle references for a block mined on ``parent_id``, from the local view.
-
-        The tree's fused ``select_uncles`` pass takes the miner's known-set as
-        the candidate filter, so candidates outside the local view are dropped
-        without materialising Block objects or an intermediate list.
-        """
-        if not self._uncles_enabled:
-            return []
-        return self.tree.select_uncles(
-            parent_id,
-            max_distance=self._uncle_distance,
-            max_count=self._max_uncles,
-            known=miner.known,
-        )
-
-    def _create_block(self, miner: _MinerState, parent_id: int, *, published: bool) -> int:
-        block_id = self.tree.add_block_id(
-            parent_id,
-            miner.kind,
-            miner_index=miner.index,
-            created_at=self._events_run,
-            uncle_ids=self._select_uncles(miner, parent_id),
-            published=published,
-        )
-        miner.known.add(block_id)
-        miner.blocks_mined += 1
-        return block_id
 
     # ------------------------------------------------------------------ results
     def _build_result(self, settlement: ChainSettlement) -> NetworkSimulationResult:

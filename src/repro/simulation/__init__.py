@@ -23,13 +23,7 @@ from .engine import ChainSimulator, RaceState
 from .fast import MarkovMonteCarlo
 from .metrics import AggregatedResult, SimulationResult, aggregate_results
 from .rng import RandomSource
-from .runner import (
-    run_many,
-    run_many_grid,
-    run_once,
-    simulate_alpha_sweep,
-    simulate_strategy_sweep,
-)
+from .runner import run_many, run_once
 
 __all__ = [
     "AggregatedResult",
@@ -45,8 +39,5 @@ __all__ = [
     "aggregate_results",
     "difficulty_rule_for",
     "run_many",
-    "run_many_grid",
     "run_once",
-    "simulate_alpha_sweep",
-    "simulate_strategy_sweep",
 ]

@@ -26,9 +26,10 @@ The mechanics follow the paper's network model:
 
 Because broadcast is instantaneous in the paper's network model, a "mining event" is
 the only event type: each event mines exactly one block, attributed to the pool with
-probability ``alpha``.  At the end of the run the pool publishes whatever it still
-withholds, the longest published chain wins, and rewards are settled by
-:func:`repro.chain.rewards.settle_rewards`.
+probability ``alpha``.  :meth:`ChainSimulator.run` plays every event in one fused
+loop; :class:`RaceState` holds the race bookkeeping between events.  At the end of
+the run the pool publishes whatever it still withholds, the longest published chain
+wins, and rewards are settled by :func:`repro.chain.rewards.settle_rewards`.
 
 This module intentionally shares no code with the analytical reward engine
 (:mod:`repro.analysis.reward_cases`); the agreement between the two is the paper's
@@ -77,20 +78,6 @@ class RaceState:
         """``Lh`` — length of the public branches (pool prefix and honest branch agree)."""
         return len(self.honest_branch)
 
-    def pool_tip(self) -> int:
-        """Block the pool mines on (its own private tip)."""
-        return self.pool_branch[-1] if self.pool_branch else self.root_id
-
-    def pool_published_tip(self) -> int:
-        """Tip of the pool's published prefix."""
-        if self.published_count == 0:
-            return self.root_id
-        return self.pool_branch[self.published_count - 1]
-
-    def honest_tip(self) -> int:
-        """Tip of the honest public branch."""
-        return self.honest_branch[-1] if self.honest_branch else self.root_id
-
     def check_invariants(self) -> None:
         """Raise if the internal bookkeeping violates the engine's invariants."""
         if self.published_count > len(self.pool_branch):
@@ -136,11 +123,10 @@ class ChainSimulator:
     def run(self) -> SimulationResult:
         """Mine ``config.num_blocks`` blocks, settle rewards, and return the result.
 
-        The event loop is the fused equivalent of ``config.num_blocks`` calls to
-        :meth:`step`: identical draws in identical order, identical race-state
-        transitions, identical error behaviour.  Fusing removes the ~40 Python
-        calls per event that the composable methods cost (``step`` stays as the
-        single-event API for tests and interactive use).
+        One fused loop runs every event: the mining draw, block creation with
+        its uncle references, the strategy's reaction and the per-event
+        invariant check, with every method and constant bound to a local.
+        ``tests/fixtures/seed_engine_fixtures.json`` pins its output bit-exactly.
         """
         race = self.race
         rng = self.rng
@@ -172,7 +158,7 @@ class ChainSimulator:
         for event_index in range(start, end):
             miner_index = mining_event(alpha, num_honest_miners)
             if miner_index < 0:
-                # -- the pool extends its private branch (see _pool_mines)
+                # -- the pool extends its private branch
                 pool_branch = race.pool_branch
                 parent_id = pool_branch[-1] if pool_branch else race.root_id
                 uncle_ids = select_uncles(
@@ -246,7 +232,7 @@ class ChainSimulator:
                 view.published_count = race.published_count
                 action = after_honest_block(view)
 
-            # -- strategy action (see _apply), then the per-event invariant check
+            # -- strategy action, then the per-event invariant check
             if action is withhold:
                 pass
             elif action is publish_action or action is match_action:
@@ -293,21 +279,6 @@ class ChainSimulator:
         settlement = self.settle()
         return SimulationResult.from_settlement(self.config, settlement, self._events_run)
 
-    def step(self) -> None:
-        """Advance the simulation by one mining event."""
-        event_index = self._events_run
-        if self.rng.pool_mines_next(self._alpha):
-            self._pool_mines(event_index)
-        else:
-            miner_index = self.rng.honest_miner_index(self._num_honest_miners)
-            self._honest_mines(event_index, miner_index)
-        self._events_run += 1
-        race = self.race
-        published = race.published_count
-        if published <= len(race.pool_branch) and published == len(race.honest_branch):
-            return  # invariants hold (the per-event fast path)
-        self._raise_inconsistent(event_index)
-
     def _raise_inconsistent(self, event_index: int) -> None:
         """Re-run the invariant check and raise the diagnostic SimulationError."""
         try:
@@ -331,7 +302,10 @@ class ChainSimulator:
 
     def finalise(self) -> None:
         """Publish whatever the pool still withholds (end-of-run cleanup)."""
-        self._publish_pool_blocks(upto=self.race.private_length)
+        race = self.race
+        for block_id in race.pool_branch[race.published_count :]:
+            self.tree.publish(block_id)
+        race.published_count = len(race.pool_branch)
 
     def settle(self) -> ChainSettlement:
         """Validate the finished tree (optionally) and settle rewards on the longest chain."""
@@ -348,121 +322,3 @@ class ChainSimulator:
             self.config.schedule,
             skip_heights_below=self.config.warmup_blocks,
         )
-
-    # ------------------------------------------------------------------ block creation
-    def _select_uncles(self, parent_id: int, *, published_only: bool) -> list[int]:
-        """Uncle references for a block mined on ``parent_id``, protocol-capped.
-
-        Honest miners only see published blocks, so their candidate filter is
-        the tree's published set; the pool sees everything (``known=None``).
-        """
-        return self.tree.select_uncles(
-            parent_id,
-            max_distance=self._max_uncle_distance,
-            max_count=self._max_uncles_per_block,
-            known=self.tree.published_ids if published_only else None,
-        )
-
-    def _pool_mines(self, event_index: int) -> None:
-        """The pool extends its private branch, then its strategy reacts.
-
-        The pool has a complete view of the tree, including its own withheld blocks,
-        so its uncle candidates are not restricted to published blocks.  The new
-        block starts out withheld; an immediate OVERRIDE from the strategy (the
-        honest strategy's every move, Algorithm 1's win from the 1-1 tie) releases
-        it in the same event.
-        """
-        parent_id = self.race.pool_tip()
-        uncle_ids = self._select_uncles(parent_id, published_only=False)
-        block_id = self.tree.add_block_id(
-            parent_id,
-            MinerKind.POOL,
-            miner_index=0,
-            created_at=event_index,
-            uncle_ids=uncle_ids,
-            published=False,
-        )
-        self.race.pool_branch.append(block_id)
-        self._apply(self.strategy.after_pool_block(self.race))
-
-    def _honest_mines(self, event_index: int, miner_index: int) -> None:
-        """An honest miner extends a longest published branch, then the pool reacts."""
-        race = self.race
-        on_pool_prefix = False
-        if not race.honest_branch:
-            parent_id = race.root_id
-        elif self.rng.honest_mines_on_pool_branch(self._gamma):
-            parent_id = race.pool_published_tip()
-            on_pool_prefix = True
-        else:
-            parent_id = race.honest_tip()
-
-        uncle_ids = self._select_uncles(parent_id, published_only=True)
-        block_id = self.tree.add_block_id(
-            parent_id,
-            MinerKind.HONEST,
-            miner_index=miner_index,
-            created_at=event_index,
-            uncle_ids=uncle_ids,
-            published=True,
-        )
-
-        if on_pool_prefix:
-            if race.published_count == race.private_length:
-                # The pool has nothing withheld (the 1-vs-1 tie): the public chain
-                # through the pool's published block is now the longest; adopt it.
-                self._adopt_public_chain(block_id)
-                return
-            # The fork point moves up to the pool's published tip; the pool's withheld
-            # blocks become the new (shorter) private branch and the honest block is
-            # the first block of the new public branch.
-            new_root = race.pool_published_tip()
-            race.pool_branch = race.pool_branch[race.published_count :]
-            race.published_count = 0
-            race.honest_branch = [block_id]
-            race.root_id = new_root
-        else:
-            race.honest_branch.append(block_id)
-
-        self._apply(self.strategy.after_honest_block(self.race))
-
-    # ------------------------------------------------------------------ action dispatch
-    def _apply(self, action: Action) -> None:
-        """Carry out a strategy action on the current race state."""
-        if action is Action.WITHHOLD:
-            return
-        if action is Action.PUBLISH:
-            self._publish_pool_blocks(upto=self.race.published_count + 1)
-        elif action is Action.MATCH:
-            self._publish_pool_blocks(upto=self.race.public_length)
-        elif action is Action.OVERRIDE:
-            self._pool_wins_race()
-        elif action is Action.ADOPT:
-            self._adopt_public_chain(self.race.honest_tip())
-        else:  # pragma: no cover - exhaustive over the Action enum
-            raise SimulationError(f"strategy emitted unknown action {action!r}")
-
-    def _publish_pool_blocks(self, *, upto: int) -> None:
-        """Publish the pool's private blocks up to index ``upto`` (exclusive end count)."""
-        race = self.race
-        upto = min(upto, race.private_length)
-        for position in range(race.published_count, upto):
-            self.tree.publish(race.pool_branch[position])
-        race.published_count = max(race.published_count, upto)
-
-    def _pool_wins_race(self) -> None:
-        """Publish the whole private branch; every miner adopts it as the main chain."""
-        race = self.race
-        self._publish_pool_blocks(upto=race.private_length)
-        race.root_id = race.pool_tip()
-        race.pool_branch = []
-        race.published_count = 0
-        race.honest_branch = []
-
-    def _adopt_public_chain(self, new_root_id: int) -> None:
-        """The pool abandons its private branch and mines on the public chain."""
-        race = self.race
-        race.root_id = new_root_id
-        race.pool_branch = []
-        race.published_count = 0
-        race.honest_branch = []

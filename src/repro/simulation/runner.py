@@ -3,9 +3,10 @@
 The paper's evaluation averages 10 independent runs of 100 000 blocks for every
 parameter point.  :func:`run_many` reproduces that protocol (with configurable run
 counts and lengths), deriving an independent random stream for every run from one
-master seed so that experiments are exactly reproducible.  :func:`simulate_alpha_sweep`
-is the simulation-side counterpart of :func:`repro.analysis.sweep.sweep_alpha`, used
-for the simulation overlays in Fig. 8.
+master seed so that experiments are exactly reproducible.  Every driver and the
+scenario sweep engine execute their runs through :func:`execute_runs`;
+:class:`SimulatedAlphaSweep` adapts one alpha-axis scenario result for the
+simulation overlays of Figs. 8 and 9.
 
 Because the runs of an experiment are independent, :func:`run_many` can fan them out
 over a process pool (``max_workers``).  The per-run seeds are derived from the master
@@ -32,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..backends import available_backends, make_simulator
 from ..errors import SimulationError
@@ -125,8 +126,8 @@ def execute_runs(
 ) -> tuple[list["SimulationResult | RunFailure"], list[int]]:
     """Execute independent ``(config, backend)`` runs, consulting ``store`` first.
 
-    This is the one executor behind :func:`run_many`, :func:`run_many_grid` and
-    the scenario sweep engine.  Results come back in input order.  With a store,
+    This is the one executor behind :func:`run_many` and the scenario sweep
+    engine.  Results come back in input order.  With a store,
     cached runs are loaded instead of executed, and freshly executed runs are
     persisted **as they complete** (in the parent process — workers never touch
     the store), so a sweep killed mid-flight leaves every settled run on disk
@@ -268,47 +269,6 @@ def execute_runs(
     return [result for result in results if result is not None], sorted(executed)
 
 
-def run_many_grid(
-    configs: Sequence[SimulationConfig],
-    num_runs: int,
-    *,
-    backend: str = "chain",
-    max_workers: int | None = None,
-    store: "ResultStore | None" = None,
-    policy: RetryPolicy | None = None,
-) -> list[AggregatedResult]:
-    """Run ``num_runs`` of every configuration, one aggregate per configuration.
-
-    All ``len(configs) * num_runs`` simulations are independent, so they are fanned
-    out over a single process pool together (``max_workers`` as
-    :func:`~repro.utils.resilient.resilient_map` defines it) — a sweep with many
-    cells keeps every worker busy even when ``num_runs`` per cell is small.
-    Results are grouped and aggregated per input configuration, in input order,
-    and are identical to calling :func:`run_many` on each configuration serially.
-
-    With a ``store`` only the runs missing from the cache execute; everything
-    else is loaded, bit-exact, from disk.  ``policy`` tunes the resilient
-    dispatch (timeout / retries / backoff); a run that exhausts its budget
-    raises :class:`~repro.errors.RetryExhaustedError` (aggregation needs every
-    run, so there is no degraded mode here — use :func:`execute_runs` with
-    ``on_failure="record"`` for that).
-    """
-    if num_runs < 1:
-        raise SimulationError(f"num_runs must be positive, got {num_runs}")
-    expanded = [
-        (run_config, backend)
-        for config in configs
-        for run_config in _derive_run_configs(config, num_runs)
-    ]
-    results, _ = execute_runs(
-        expanded, max_workers=max_workers, store=store, policy=policy
-    )
-    return [
-        aggregate_results(results[index * num_runs : (index + 1) * num_runs])
-        for index in range(len(configs))
-    ]
-
-
 def run_many(
     config: SimulationConfig,
     num_runs: int,
@@ -328,19 +288,21 @@ def run_many(
     :func:`~repro.utils.resilient.resilient_map` defines it.  The per-run seed
     stream is derived up front, so the aggregated result is identical whichever
     execution mode (or worker count) is chosen — parallelism is purely a
-    wall-clock optimisation.  Grid experiments
-    should prefer :func:`run_many_grid`, which keeps the pool busy across cells.
-    With a ``store`` only the runs missing from the cache execute; ``policy``
-    tunes the resilient dispatch (see :func:`run_many_grid`).
+    wall-clock optimisation.  A grid of configurations goes through the
+    scenario engine (:func:`repro.scenarios.run_scenario`), which fans every
+    run of every cell out over one pool.
+    With a ``store`` only the runs missing from the cache execute, and
+    everything else is loaded, bit-exact, from disk.  ``policy`` tunes the
+    resilient dispatch (timeout / retries / backoff); a run that exhausts its
+    budget raises :class:`~repro.errors.RetryExhaustedError` (aggregation needs
+    every run, so there is no degraded mode here — use :func:`execute_runs`
+    with ``on_failure="record"`` for that).
     """
-    return run_many_grid(
-        [config],
-        num_runs,
-        backend=backend,
-        max_workers=max_workers,
-        store=store,
-        policy=policy,
-    )[0]
+    if num_runs < 1:
+        raise SimulationError(f"num_runs must be positive, got {num_runs}")
+    tasks = [(run_config, backend) for run_config in _derive_run_configs(config, num_runs)]
+    results, _ = execute_runs(tasks, max_workers=max_workers, store=store, policy=policy)
+    return aggregate_results(results)
 
 
 @dataclass(frozen=True)
@@ -389,64 +351,3 @@ class SimulatedAlphaSweep:
                 for outcome in sweep.cells
             ),
         )
-
-
-def simulate_alpha_sweep(
-    alphas: Iterable[float],
-    base_config: SimulationConfig,
-    *,
-    num_runs: int = 3,
-    backend: str = "chain",
-    max_workers: int | None = None,
-    store: "ResultStore | None" = None,
-) -> SimulatedAlphaSweep:
-    """Run the simulator over a grid of pool sizes at the base configuration's ``gamma``.
-
-    The runs of *all* grid points share one process pool (see :func:`run_many_grid`),
-    so ``max_workers`` parallelism is effective even with few runs per point.
-    """
-    params_grid = [
-        MiningParams(alpha=alpha, gamma=base_config.params.gamma) for alpha in alphas
-    ]
-    aggregates = run_many_grid(
-        [base_config.with_params(params) for params in params_grid],
-        num_runs,
-        backend=backend,
-        max_workers=max_workers,
-        store=store,
-    )
-    points = [
-        SimulatedSweepPoint(params=params, aggregate=aggregate)
-        for params, aggregate in zip(params_grid, aggregates)
-    ]
-    return SimulatedAlphaSweep(gamma=base_config.params.gamma, points=tuple(points))
-
-
-def simulate_strategy_sweep(
-    strategies: Sequence[str],
-    base_config: SimulationConfig,
-    *,
-    num_runs: int = 3,
-    backend: str = "chain",
-    max_workers: int | None = None,
-    store: "ResultStore | None" = None,
-) -> dict[str, AggregatedResult]:
-    """Run the same configuration under several mining strategies.
-
-    Every strategy sees the same master seed, so differences between the aggregates
-    are attributable to the strategies alone (paired-comparison protocol).  The runs
-    of all strategies share one process pool (see :func:`run_many_grid`).
-    """
-    aggregates = run_many_grid(
-        [base_config.with_strategy(strategy) for strategy in strategies],
-        num_runs,
-        backend=backend,
-        max_workers=max_workers,
-        store=store,
-    )
-    return dict(zip(strategies, aggregates))
-
-
-def honest_baseline_config(config: SimulationConfig) -> SimulationConfig:
-    """A copy of ``config`` in which the pool mines honestly (baseline runs)."""
-    return config.with_strategy("honest")

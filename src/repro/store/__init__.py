@@ -8,8 +8,8 @@ store:
 
 * **simulation runs** are keyed by a stable fingerprint of
   ``(configuration, backend, seed)`` (:mod:`repro.store.fingerprint`), so
-  :func:`repro.simulation.runner.run_many` / ``run_many_grid`` and the scenario
-  sweep engine execute only the runs missing from the cache, and interrupted
+  :func:`repro.simulation.runner.execute_runs` (behind ``run_many`` and the
+  scenario sweep engine) executes only the runs missing from the cache, and interrupted
   sweeps resume exactly where they stopped;
 * **solved MDP policies** share the same store under their own namespace
   (:func:`repro.mdp.solver.solve_optimal_policy` with a configured store), so

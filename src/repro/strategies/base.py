@@ -70,7 +70,8 @@ class RaceView(Protocol):
     ``private_length`` is the paper's ``Ls`` (pool blocks since the fork point),
     ``public_length`` is ``Lh`` (honest blocks since the fork point), and
     ``published_count`` is how many of the pool's blocks are already public.
-    :class:`repro.simulation.engine.RaceState` satisfies this protocol.
+    The engines hand strategies a snapshot of the three integers;
+    :class:`repro.simulation.engine.RaceState` satisfies this protocol too.
     """
 
     @property

@@ -16,9 +16,9 @@ past the policy's retry budget raises
 :class:`~repro.errors.RetryExhaustedError` (chained to the last attempt's
 typed error); partial output is never returned.
 
-For *simulation* fan-out prefer :func:`repro.simulation.runner.run_many_grid`,
-which additionally owns the per-run seed-derivation protocol and the result
-store integration.
+For *simulation* fan-out use :func:`repro.simulation.runner.execute_runs` (or
+the scenario engine on top of it), which additionally owns the per-run
+seed-derivation protocol and the result store integration.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Bitcoin baseline and the degenerate behaviour of the Ethereum machinery.
 from __future__ import annotations
 
 import pytest
+from reference_markov import BitcoinSelfishMiningModel
 
-from repro.analysis.bitcoin import BitcoinSelfishMiningModel, bitcoin_relative_revenue
+from repro.analysis.bitcoin import bitcoin_relative_revenue
 from repro.analysis.revenue import RevenueModel
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule

@@ -13,7 +13,7 @@ from repro.analysis.absolute import Scenario
 from repro.analysis.bitcoin import bitcoin_threshold
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.threshold import profitable_threshold
-from repro.analysis.uncle_distance import honest_uncle_distance_distribution
+from repro.analysis.uncle_distance import distribution_from_rates
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
 
@@ -103,8 +103,9 @@ class TestSection6Numbers:
         assert proposed.alpha_star == pytest.approx(0.356, abs=0.01)
 
     def test_table2_distributions(self):
-        column_030 = honest_uncle_distance_distribution(MiningParams(alpha=0.3, gamma=0.5), max_lead=40)
-        column_045 = honest_uncle_distance_distribution(MiningParams(alpha=0.45, gamma=0.5), max_lead=40)
+        model = RevenueModel(max_lead=40)
+        column_030 = distribution_from_rates(model.revenue_rates(MiningParams(alpha=0.3, gamma=0.5)))
+        column_045 = distribution_from_rates(model.revenue_rates(MiningParams(alpha=0.45, gamma=0.5)))
         paper_030 = {1: 0.527, 2: 0.295, 3: 0.111, 4: 0.043, 5: 0.017, 6: 0.007}
         paper_045 = {1: 0.284, 2: 0.249, 3: 0.171, 4: 0.125, 5: 0.096, 6: 0.075}
         for distance in range(1, 7):

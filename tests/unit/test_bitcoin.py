@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import pytest
+from reference_markov import BitcoinSelfishMiningModel
 
-from repro.analysis.bitcoin import (
-    BitcoinSelfishMiningModel,
-    bitcoin_relative_revenue,
-    bitcoin_threshold,
-)
+from repro.analysis.bitcoin import bitcoin_relative_revenue, bitcoin_threshold
 from repro.errors import ParameterError
 from repro.params import MiningParams
 

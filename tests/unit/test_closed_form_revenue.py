@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import pytest
-
-from repro.analysis.closed_form_revenue import (
+from reference_closed_form import (
     closed_form_revenue,
     honest_static_revenue,
     honest_uncle_revenue,
     pool_static_revenue,
     pool_uncle_revenue,
 )
+
 from repro.errors import ParameterError
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule

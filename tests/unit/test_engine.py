@@ -29,9 +29,6 @@ class TestRaceState:
         race = RaceState(root_id=0)
         assert race.private_length == 0
         assert race.public_length == 0
-        assert race.pool_tip() == 0
-        assert race.honest_tip() == 0
-        assert race.pool_published_tip() == 0
 
     def test_invariant_violation_detected(self):
         race = RaceState(root_id=0, pool_branch=[1], published_count=1, honest_branch=[])
@@ -72,6 +69,13 @@ class TestDeterminismAndStructure:
     def test_num_events_matches_block_count(self):
         result = ChainSimulator(config(blocks=1000)).run()
         assert result.num_events == 1000
+
+    def test_tree_records_pool_and_honest_blocks(self):
+        simulator = ChainSimulator(config(alpha=0.4, blocks=2000, seed=2))
+        simulator.run()
+        pool_blocks = int(simulator.tree.kind_column()[1:].sum())
+        assert len(simulator.tree) - 1 == 2000
+        assert pool_blocks == pytest.approx(0.4 * 2000, rel=0.15)
 
 
 class TestStrategyBehaviour:
@@ -145,28 +149,3 @@ class TestStrategyBehaviour:
         full = ChainSimulator(config(blocks=3000, warmup_blocks=0, seed=9)).run()
         trimmed = ChainSimulator(config(blocks=3000, warmup_blocks=500, seed=9)).run()
         assert trimmed.total_blocks < full.total_blocks
-
-
-class TestStepwiseExecution:
-    def test_manual_stepping_matches_run(self):
-        auto = ChainSimulator(config(blocks=800, seed=3)).run()
-        manual_simulator = ChainSimulator(config(blocks=800, seed=3))
-        for _ in range(800):
-            manual_simulator.step()
-        manual_simulator.finalise()
-        settlement = manual_simulator.settle()
-        assert settlement.split.pool.total == pytest.approx(auto.pool_rewards.total)
-        assert settlement.regular_blocks == auto.regular_blocks
-
-    def test_race_invariants_hold_after_every_step(self):
-        simulator = ChainSimulator(config(blocks=400, seed=13))
-        for _ in range(400):
-            simulator.step()
-            assert simulator.race.published_count == len(simulator.race.honest_branch)
-
-    def test_tree_records_pool_and_honest_blocks(self):
-        simulator = ChainSimulator(config(alpha=0.4, blocks=2000, seed=2))
-        simulator.run()
-        pool_blocks = int(simulator.tree.kind_column()[1:].sum())
-        assert len(simulator.tree) - 1 == 2000
-        assert pool_blocks == pytest.approx(0.4 * 2000, rel=0.15)

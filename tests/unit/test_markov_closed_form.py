@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from reference_markov import build_selfish_mining_chain
-
-from repro.errors import ParameterError
-from repro.markov.closed_form import (
+from reference_closed_form import (
     closed_form_distribution,
     multiple_summation,
     pi_00,
@@ -14,6 +11,9 @@ from repro.markov.closed_form import (
     pi_i0,
     pi_ij,
 )
+from reference_markov import build_selfish_mining_chain
+
+from repro.errors import ParameterError
 from repro.markov.state import State
 from repro.markov.stationary import stationary_distribution
 from repro.params import MiningParams

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.absolute import Scenario
-from repro.analysis.sweep import AlphaSweep, alpha_grid, sweep_alpha, sweep_gamma
+from repro.analysis.sweep import AlphaSweep, alpha_grid, sweep_alpha
 from repro.rewards.schedule import FlatUncleSchedule
 
 
@@ -57,16 +57,3 @@ class TestAlphaSweep:
         assert sweep.gamma == 0.5
         assert sweep.scenario is Scenario.REGULAR_ONLY
         assert sweep.schedule_name == "FlatUncleSchedule"
-
-
-class TestGammaSweep:
-    def test_thresholds_decrease_with_gamma(self):
-        result = sweep_gamma([0.0, 0.5, 1.0], schedule=FlatUncleSchedule(0.5), max_lead=25)
-        assert result.gammas == [0.0, 0.5, 1.0]
-        thresholds = result.thresholds
-        assert thresholds[0] > thresholds[1] > thresholds[2]
-        assert thresholds[2] == pytest.approx(0.0)
-
-    def test_schedule_name_recorded(self):
-        result = sweep_gamma([0.5], schedule=FlatUncleSchedule(0.5), max_lead=25)
-        assert result.schedule_name == "FlatUncleSchedule"
