@@ -1,18 +1,20 @@
 """Micro-benchmarks of the optimal-strategy MDP solver.
 
-Tracks the cost of solving the withhold/override decision process at the two
-truncation levels that matter in practice: the strategy default (``max_lead=60``,
-what every ``strategy="optimal"`` simulation pays once per process and parameter
-point) and the paper's full truncation (``max_lead=200``, the worst case the
-``optimal`` experiment driver can be asked for), plus the exact evaluation of one
-policy — the MDP side of the reward fold ``test_revenue_evaluation_benchmark`` in
-``bench_engines.py`` times for the analytical model.  The solve is run uncached
+The solver works on the analytical model's lumped ``(lead, forked)`` space
+(``2 * max_lead + 1`` states, ``4 * max_lead + 1`` actions).  Tracked here:
+compiling the model, a full solve at the strategy default lead cap
+(``max_lead=60``, what every ``strategy="optimal"`` simulation pays once per
+process and parameter point) and at ``max_lead=200`` (the largest cap the
+``optimal`` experiment driver is asked for in practice), one converged relative
+value iteration, and the exact evaluation of one policy — the MDP side of
+``test_revenue_evaluation_benchmark`` in ``bench_engines.py``, which makes the
+same banded solve and reward fold.  The solve is run uncached
 (:class:`~repro.mdp.solver.MdpSolver` directly) so the numbers measure model
-compilation plus relative value iteration plus the exact Dinkelbach evaluations,
-not the cache.
+compilation plus relative value iteration plus the exact Dinkelbach
+evaluations, not the cache.
 
 Sizes honour ``REPRO_BENCH_SCALE`` like the other benchmark files: the scale
-multiplies the truncation level (floor 12), which smoke runs use to finish in
+multiplies the lead cap (floor 12), which smoke runs use to finish in
 milliseconds.
 """
 
@@ -22,13 +24,15 @@ import os
 
 import pytest
 
+from repro.mdp.model import MdpModel
 from repro.mdp.solver import MdpSolver
 from repro.params import MiningParams
+from repro.rewards.schedule import EthereumByzantiumSchedule
 
 #: A profitable parameter point, so the solve performs real improvement rounds.
 PARAMS = MiningParams(alpha=0.4, gamma=0.5)
 
-#: Scale multiplier for the truncation levels (CI smoke runs use < 1).
+#: Scale multiplier for the lead caps (CI smoke runs use < 1).
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
@@ -42,16 +46,24 @@ def _solve(max_lead: int):
     return solver.solve()
 
 
-def test_mdp_solve_default_truncation_benchmark(benchmark):
-    """Full solve at the strategy default truncation (model build + RVI + evaluation)."""
+def test_mdp_compile_benchmark(benchmark):
+    """Model compilation alone: actions, edge arrays and expected rewards."""
     lead = scaled_lead(60)
     benchmark.extra_info["max_lead"] = lead
-    result = benchmark.pedantic(_solve, args=(lead,), rounds=1, iterations=1)
+    model = benchmark(MdpModel, PARAMS, EthereumByzantiumSchedule(), max_lead=lead)
+    assert model.num_states == 2 * lead + 1
+
+
+def test_mdp_solve_default_truncation_benchmark(benchmark):
+    """Full solve at the strategy default lead cap (model build + RVI + evaluation)."""
+    lead = scaled_lead(60)
+    benchmark.extra_info["max_lead"] = lead
+    result = benchmark.pedantic(_solve, args=(lead,), rounds=3, iterations=1)
     assert result.optimal_share >= PARAMS.alpha
 
 
 def test_mdp_solve_paper_truncation_benchmark(benchmark):
-    """Full solve at the paper's truncation level (the driver's worst case)."""
+    """Full solve at ``max_lead=200``, the driver's worst case."""
     lead = scaled_lead(200)
     benchmark.extra_info["max_lead"] = lead
     result = benchmark.pedantic(_solve, args=(lead,), rounds=1, iterations=1)
@@ -59,10 +71,10 @@ def test_mdp_solve_paper_truncation_benchmark(benchmark):
 
 
 def test_mdp_improve_sweep_benchmark(benchmark):
-    """One converged relative-value-iteration call at the default truncation.
+    """One converged relative-value-iteration call at the default lead cap.
 
-    Separates the Bellman-sweep cost from model compilation, so regressions in
-    the compiled tables and in the iteration itself are distinguishable.
+    Separates the Bellman-sweep cost (a gather and two segmented reductions
+    per sweep) from model compilation and policy evaluation.
     """
     lead = scaled_lead(60)
     benchmark.extra_info["max_lead"] = lead
@@ -76,7 +88,7 @@ def test_mdp_improve_sweep_benchmark(benchmark):
 
 
 def test_mdp_policy_evaluation_benchmark(benchmark):
-    """Exact evaluation of Algorithm 1's policy: chain build, stationary solve, fold."""
+    """Exact evaluation of Algorithm 1's policy: edge gather, banded solve, fold."""
     lead = scaled_lead(60)
     benchmark.extra_info["max_lead"] = lead
     solver = MdpSolver(PARAMS, max_lead=lead)

@@ -15,7 +15,7 @@ The computation is a single weighted sum: for every transition ``t`` out of stat
 long-run frequency of that transition — and the weighted records are settled by
 :func:`~repro.analysis.reward_cases.fold_rewards`.  :func:`stationary_rates` does
 this for any chain given by state indices; the MDP policy evaluator calls it too,
-on the ``(Ls, Lh)`` space.
+on the chain a decision table induces on the same lumped space.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ class RevenueRates:
         Rate of blocks that end up neither regular nor referenced uncles.
     truncation_mass:
         Stationary probability of the truncation boundary, the states whose pool
-        extension self-loops: lead ``max_lead`` for :class:`RevenueModel`,
-        private branch ``max_lead`` for the MDP's ``(Ls, Lh)`` space.  It
-        measures how much the truncation distorts the rates; 0 for rates not
-        computed from a truncated chain.
+        extension self-loops (lead ``max_lead``).  It measures how much the
+        truncation distorts the rates; 0 for rates not computed from a truncated
+        chain.
     """
 
     params: MiningParams
@@ -131,9 +130,8 @@ def stationary_rates(
     weighted by its long-run frequency ``probabilities[sources[k]] * rates[k]``.
     ``rows_for(live)`` is asked once, for the indices of the transitions whose
     weight is non-zero, and returns their Appendix-B component rows and
-    distance rows (:meth:`~repro.analysis.reward_cases.RewardRows.gather`, or
-    :func:`~repro.analysis.reward_cases.record_rows` over per-transition
-    records); the weighted rows are settled by
+    distance rows (as :meth:`~repro.analysis.reward_cases.RewardRows.gather`
+    does); the weighted rows are settled by
     :func:`~repro.analysis.reward_cases.fold_rewards`.  ``boundary`` lists the
     indices of the truncation boundary, whose mass is
     :attr:`RevenueRates.truncation_mass`.

@@ -246,24 +246,6 @@ def fold_rewards(
     )
 
 
-def record_rows(
-    record_for: Callable[[int], TransitionRewards], indices: Sequence[int] | np.ndarray
-) -> tuple[np.ndarray, list[tuple[tuple[bool, int, float], ...]]]:
-    """The component rows and distance rows of the records ``record_for(k)`` for ``k`` in ``indices``.
-
-    The per-record counterpart of :meth:`RewardRows.gather`, for chains whose
-    records are built one transition at a time.  Rows are filled one record at
-    a time so no record outlives its row.
-    """
-    components = np.empty((len(indices), len(REWARD_COMPONENTS)))
-    distance_rows = []
-    for row, k in enumerate(indices):
-        record = record_for(k)
-        components[row] = record.component_vector()
-        distance_rows.append(record.distance_contributions())
-    return components, distance_rows
-
-
 def _nephew_honest_probability(params: MiningParams, distance: int) -> float:
     """Probability honest miners win the nephew reward of an uncle at ``distance``.
 

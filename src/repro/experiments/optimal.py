@@ -3,7 +3,7 @@
 The driver charts, over an ``alpha x gamma`` grid, the pool's *optimal* relative
 revenue — the value of the withhold/override decision process solved by
 :mod:`repro.mdp` — next to the revenue of the paper's Algorithm 1 (the solver's
-exact evaluation of that corner on the same chain) and the honest baseline
+exact evaluation of that corner, equal to the analytical model's) and the honest baseline
 (``revenue = alpha``).  Because Algorithm 1 and honest mining are both corners
 of the MDP's policy space, the optimal column dominates the other two
 pointwise, and the point where its policy structure flips from
@@ -249,9 +249,12 @@ def run_optimal(
     schedule:
         Reward schedule (default Ethereum Byzantium).
     max_lead:
-        Truncation of the solved state space.  Non-default values require
+        Cap on the pool's lead in the solved state space, the same lumped
+        ``(lead, forked)`` space :class:`~repro.analysis.revenue.RevenueModel`
+        solves, so the "selfish" column equals
+        ``RevenueModel(max_lead=max_lead)``.  Non-default values require
         ``include_simulation=False``: the simulated strategy is always solved at
-        the strategy default truncation, so the validation table would otherwise
+        the strategy default cap, so the validation table would otherwise
         compare two different policies.
     include_simulation, include_catalogue:
         Toggle the Monte-Carlo sections (the validation overlay of the extracted

@@ -1,11 +1,11 @@
 """A small, generic finite Markov-chain container.
 
-The MDP's ``(Ls, Lh)`` chains, the 1-dimensional Eyal–Sirer Bitcoin chain and the test
-oracles are represented with this class: an ordered collection of hashable states plus
-a list of rate-labelled transitions.  The container exposes the rate and generator
-matrices as scipy sparse matrices, importing scipy only when one is asked for.  The
-analytical revenue model builds none: it solves its compiled
-:class:`~repro.markov.transitions.LumpedChain` by state index.
+The test oracles, such as the unlumped ``(Ls, Lh)`` chain and the 1-dimensional
+Eyal–Sirer Bitcoin chain, are represented with this class: an ordered collection of
+hashable states plus a list of rate-labelled transitions.  The container exposes the
+rate and generator matrices as scipy sparse matrices, importing scipy only when one
+is asked for.  The analytical revenue model and the MDP build none: they solve the
+lumped chain by state index.
 
 The chains produced by this package have the convenient property that the total
 outgoing rate of every state equals 1 (each transition corresponds to the creation of

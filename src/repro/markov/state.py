@@ -9,12 +9,12 @@ The reachable state space under Algorithm 1 is
 * ``(1, 1)`` — a tie: one private (now published) block against one honest block,
 * ``(i, j)`` with ``i - j >= 2`` and ``j >= 0`` — the pool leads by at least two.
 
-The state space is infinite.  :class:`StateSpace` enumerates it with the
-private-branch length capped at ``max_lead``, one state per ``(Ls, Lh)``: the MDP
-solver and the compiled Monte Carlo tables work on it.  :class:`LumpedSpace` keeps one
+The state space is infinite.  The compiled Monte Carlo tables walk it state by
+state, keyed by :meth:`State.encode`.  :class:`LumpedSpace` keeps one
 representative per ``(lead, forked)`` class with the lead capped at ``max_lead``
-(``2 * max_lead + 1`` states); the analytical revenue model solves that exact
-lumping (see :class:`~repro.analysis.revenue.RevenueModel`).
+(``2 * max_lead + 1`` states); the analytical revenue model and the
+optimal-strategy MDP solve that exact lumping (see
+:class:`~repro.analysis.revenue.RevenueModel` and :mod:`repro.mdp`).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..constants import DEFAULT_STATE_TRUNCATION
 from ..errors import StateSpaceError
 
 
@@ -56,10 +55,9 @@ class State:
     def encode(self) -> int:
         """Dense non-negative integer code of this state.
 
-        The code equals the state's position in :func:`enumerate_states` for any
-        truncation that contains it, so codes are stable across truncation levels:
-        the three special states map to 0-2 and ``(i, j)`` (``i - j >= 2``) to
-        ``3 + (i - 1)(i - 2)/2 + j``.  The compiled-table simulator keys its state
+        The three special states map to 0-2 and ``(i, j)`` (``i - j >= 2``) to
+        ``3 + (i - 1)(i - 2)/2 + j``: the states ordered by ``i`` and then ``j``,
+        so the code does not depend on any truncation level.  The compiled-table simulator keys its state
         rows by this code; :func:`decode_state` is the inverse.
         """
         i, j = self.private, self.public
@@ -100,52 +98,28 @@ def decode_state(code: int) -> State:
     return State(i, offset - (i - 1) * (i - 2) // 2)
 
 
-def enumerate_states(max_lead: int) -> list[State]:
-    """Enumerate all reachable states with private-branch length at most ``max_lead``.
+class LumpedSpace:
+    """The ``(lead, forked)`` lumping of the state space, with the lead capped at ``max_lead``.
 
-    The enumeration is deterministic: the three special states first, then the
-    ``(i, j)`` states ordered by ``i`` and then ``j``.
-
-    Parameters
-    ----------
-    max_lead:
-        Largest private-branch length ``Ls`` to keep.  Must be at least 2 so that the
-        chain retains at least one "pool leads by two" state.
-    """
-    if max_lead < 2:
-        raise StateSpaceError(f"max_lead must be at least 2, got {max_lead}")
-    states: list[State] = [State(0, 0), State(1, 0), State(1, 1)]
-    for i in range(2, max_lead + 1):
-        for j in range(0, i - 1):  # j <= i - 2
-            states.append(State(i, j))
-    return states
-
-
-class StateSpace:
-    """A truncated, indexed enumeration of the selfish-mining state space.
-
-    The class maps between :class:`State` objects and dense integer indices so that
-    transition matrices can be stored as sparse arrays.
-
-    Parameters
-    ----------
-    max_lead:
-        Truncation level for the private-branch length.  States with
-        ``Ls > max_lead`` are dropped; the pool's extension out of a state with
-        ``Ls == max_lead`` self-loops (see :meth:`on_boundary`).
+    Its states are ``(0, 0)``, ``(1, 0)``, ``(1, 1)`` and, for every lead ``d`` in
+    ``2..max_lead``, the unforked ``(d, 0)`` and the forked ``(d + 1, 1)``, which
+    stands for every ``(i, j)`` with ``i - j == d`` and ``j >= 1``.  The class maps
+    between these states and dense integer indices, in that order.
     """
 
-    #: Enumerates the states kept at a truncation level, in index order.
-    _enumerate = staticmethod(enumerate_states)
-
-    def __init__(self, max_lead: int = DEFAULT_STATE_TRUNCATION) -> None:
+    def __init__(self, max_lead: int) -> None:
+        if max_lead < 2:
+            raise StateSpaceError(f"max_lead must be at least 2, got {max_lead}")
         self._max_lead = int(max_lead)
-        self._states = self._enumerate(self._max_lead)
-        self._index = {state: position for position, state in enumerate(self._states)}
+        states = [State(0, 0), State(1, 0), State(1, 1)]
+        for lead in range(2, self._max_lead + 1):
+            states += (State(lead, 0), State(lead + 1, 1))
+        self._states = states
+        self._index = {state: position for position, state in enumerate(states)}
 
     @property
     def max_lead(self) -> int:
-        """The truncation level used to build this state space."""
+        """The cap on the pool's lead."""
         return self._max_lead
 
     @property
@@ -176,9 +150,20 @@ class StateSpace:
         except IndexError as exc:
             raise StateSpaceError(f"index {index} out of range for state space of size {len(self)}") from exc
 
+    @staticmethod
+    def representative(state: State) -> State:
+        """The state that stands for ``state``'s ``(lead, forked)`` class.
+
+        It does not depend on the cap: a class whose lead exceeds ``max_lead``
+        has a representative outside the space.
+        """
+        if state.public == 0 or state.lead < 2:
+            return state
+        return State(state.lead + 1, 1)
+
     def on_boundary(self, state: State) -> bool:
-        """True if the pool's extension out of ``state`` self-loops (``Ls == max_lead``)."""
-        return state.private == self._max_lead
+        """True if the pool's extension out of ``state`` self-loops (lead ``== max_lead``)."""
+        return state.lead == self._max_lead
 
     def boundary_indices(self) -> list[int]:
         """Indices of the states :meth:`on_boundary` picks, in index order."""
@@ -190,31 +175,3 @@ class StateSpace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return self.describe()
-
-
-class LumpedSpace(StateSpace):
-    """The ``(lead, forked)`` lumping of the state space, with the lead capped at ``max_lead``.
-
-    Its states are ``(0, 0)``, ``(1, 0)``, ``(1, 1)`` and, for every lead ``d`` in
-    ``2..max_lead``, the unforked ``(d, 0)`` and the forked ``(d + 1, 1)``, which
-    stands for every ``(i, j)`` with ``i - j == d`` and ``j >= 1``.
-    """
-
-    @staticmethod
-    def _enumerate(max_lead: int) -> list[State]:
-        if max_lead < 2:
-            raise StateSpaceError(f"max_lead must be at least 2, got {max_lead}")
-        states = [State(0, 0), State(1, 0), State(1, 1)]
-        for lead in range(2, max_lead + 1):
-            states += (State(lead, 0), State(lead + 1, 1))
-        return states
-
-    def representative(self, state: State) -> State:
-        """The state of this space that stands for ``state``'s ``(lead, forked)`` class."""
-        if state.public == 0 or state.lead < 2:
-            return state
-        return State(state.lead + 1, 1)
-
-    def on_boundary(self, state: State) -> bool:
-        """True if the pool's extension out of ``state`` self-loops (lead ``== max_lead``)."""
-        return state.lead == self._max_lead

@@ -2,18 +2,17 @@
 
 Both solvers find the global balance equations' solution ``pi Q = 0`` with the
 normalisation ``sum(pi) = 1`` and report its residual, so the experiment drivers
-can report the numerical quality alongside the reproduced figures.  On a
-:class:`~repro.markov.chain.MarkovChain` they return a :class:`StationaryResult`
-that maps states to probabilities.
+can report the numerical quality alongside the reproduced figures.
 
 * :func:`banded_solve` is a pure-Python elimination on state indices for chains
-  whose inflows stay near the diagonal in state order, such as the
-  :class:`~repro.markov.state.LumpedSpace` chain the analytical revenue model
-  solves; :func:`banded_stationary_distribution` applies it to a
-  :class:`~repro.markov.chain.MarkovChain`.  It needs neither scipy nor BLAS.
+  whose inflows stay near the diagonal in state order.  The
+  :class:`~repro.markov.state.LumpedSpace` chains are such chains: the analytical
+  revenue model's and the optimal-strategy MDP's policy evaluations both solve
+  through it.  It needs neither scipy nor BLAS.
 * :func:`stationary_distribution` is one sparse direct LU solve (SuperLU) for any
-  chain: the MDP's ``(Ls, Lh)`` chains and the test oracles.
-  scipy is imported only when it runs.
+  :class:`~repro.markov.chain.MarkovChain`, returned as a
+  :class:`StationaryResult` that maps states to probabilities.  No paper artifact
+  calls it; the test oracles do.  scipy is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -136,20 +135,6 @@ def banded_solve(size: int, moves: Sequence[tuple[int, int, float]]) -> tuple[tu
         net_inflow[target] += flow
         net_inflow[source] -= flow
     return tuple(probabilities), max(abs(value) for value in net_inflow)
-
-
-def banded_stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:
-    """The stationary distribution of ``chain`` by :func:`banded_solve`.
-
-    Self-loops are dropped, as they cancel out of the generator.  The chain
-    must be banded in its state order, as :func:`banded_solve` explains.
-    """
-    index = chain.index_of
-    moves = [
-        (index(t.source), index(t.target), t.rate) for t in chain.transitions if t.source != t.target
-    ]
-    probabilities, residual = banded_solve(len(chain), moves)
-    return StationaryResult(chain=chain, probabilities=probabilities, residual=residual)
 
 
 def stationary_distribution(chain: MarkovChain[StateT]) -> StationaryResult[StateT]:

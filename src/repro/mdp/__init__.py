@@ -8,33 +8,35 @@ Map of the subsystem
 --------------------
 
 ``model.py``
-    The decision process itself.  **States** are the paper's truncated ``(Ls, Lh)``
-    pairs, reusing :class:`~repro.markov.state.StateSpace` and the stable integer
-    codes of :meth:`~repro.markov.state.State.encode` (``(0,0) -> 0``,
-    ``(1,0) -> 1``, ``(1,1) -> 2``, then the triangular layout of the lead-two-plus
-    states).  **Actions** are per-state pool-event responses
+    The decision process itself.  **States** are the analytical model's: the
+    ``(lead, forked)`` lumping :class:`~repro.markov.state.LumpedSpace`, with the
+    pool's lead capped at ``max_lead`` (``2 * max_lead + 1`` states, 121 at the
+    default 60).  **Actions** are per-state pool-event responses
     (:class:`~repro.mdp.model.PoolDecision`): ``WITHHOLD`` keeps the paper's
     transition (Appendix-B cases 2/3/6), ``OVERRIDE`` publishes the private branch
     and resets the race to ``(0, 0)`` — at ``(0, 0)`` that reading *is* honest
     mining, and at the 1-vs-1 tie ``(1, 1)`` it is the only action (the forced
     tie-break win of case 5).  Honest-event responses stay pinned to Algorithm 1,
-    which is exactly the regime in which the Appendix-B reward records are valid.
-    One-step rewards are those records (:mod:`repro.analysis.reward_cases`),
-    compiled — in the style of :mod:`repro.simulation.tables` — into one sparse
-    successor row plus expected pool/total reward per ``(state, decision)`` pair.
+    which is exactly the regime in which the Appendix-B reward rows are valid.
+    Each representative's actions are built as
+    :class:`~repro.markov.transitions.LumpedChain` builds its edges, so
+    withholding everywhere is the analytical chain itself; one
+    :class:`~repro.analysis.reward_cases.RewardRows` gives every transition its
+    reward row.
 
 ``solver.py``
     The solve.  The objective is the pool's revenue *share*, a ratio of long-run
     averages, so a Dinkelbach loop wraps relative value iteration: each inner RVI
     maximises ``pool - rho * total`` and proposes a greedy policy, each outer step
-    evaluates that policy exactly through the package's stationary solver and
-    raises ``rho`` to the evaluated share.  Policies are encoded for export as the
-    tuple of state codes whose decision is ``OVERRIDE`` (``override_codes``) —
-    the lookup table :class:`~repro.strategies.optimal.OptimalStrategy` consults:
-    after mining a block at race view ``(Ls, Lh)`` the strategy decodes the
-    *source* state ``(Ls - 1, Lh)``, overrides when its code is in the table, and
-    falls back to Algorithm 1's withhold otherwise (in particular beyond the
-    solved truncation).
+    evaluates that policy exactly with the analytical model's banded solve and
+    reward fold, and raises ``rho`` to the evaluated share.  Policies are encoded
+    for export as the sorted codes of the class representatives whose decision
+    is ``OVERRIDE`` (``override_codes``) — the lookup table
+    :class:`~repro.strategies.optimal.OptimalStrategy` consults: after mining a
+    block at race view ``(Ls, Lh)`` the strategy takes the *source* state
+    ``(Ls - 1, Lh)``, overrides when its class representative's code is in the
+    table, and falls back to Algorithm 1's withhold otherwise (in particular for
+    leads beyond ``max_lead``).
 
 Consumers
 ---------
@@ -45,10 +47,10 @@ Consumers
 * :mod:`repro.experiments.optimal` charts the profitability frontier (optimal vs
   the hand-crafted catalogue) and dumps where the optimal policy diverges from
   Algorithm 1;
-* ``benchmarks/bench_mdp.py`` tracks solver cost per truncation level.
+* ``benchmarks/bench_mdp.py`` tracks solver cost per lead cap.
 """
 
-from .model import MdpAction, MdpModel, PoolDecision, policy_transitions_from_state
+from .model import MdpModel, PoolDecision, policy_transitions_from_state
 from .solver import (
     DEFAULT_POLICY_MAX_LEAD,
     MdpSolver,
@@ -60,7 +62,6 @@ from .solver import (
 
 __all__ = [
     "DEFAULT_POLICY_MAX_LEAD",
-    "MdpAction",
     "MdpModel",
     "MdpSolver",
     "OptimalPolicyResult",

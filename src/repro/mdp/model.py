@@ -17,7 +17,7 @@ into a Markov decision process:
   tie, override a lead of one, answer deeper leads by revealing one block).  These
   are the responses under which the Appendix-B destiny probabilities (case 2's
   ``alpha + alpha*beta + beta^2*gamma``, the nephew races of cases 7-10) were
-  derived; relaxing them would both leave the truncated ``(Ls, Lh)`` state space
+  derived; relaxing them would both leave the paper's state space
   (stubborn-style ties live at ``lead <= 1``, which the space does not encode) and
   silently invalidate the per-transition reward records.
 
@@ -28,30 +28,41 @@ under any later override (Lemma 1).  The records of cases 7-10 embed the selfish
 continuation of the race (uncle distance, nephew race), so policies that override
 from a deep lead are scored slightly conservatively — the honest side is credited
 the full selfish-continuation uncle value even though an early override may push
-the reference beyond the inclusion window.  The policies the solver actually
-extracts (Algorithm 1 above the profitability threshold, honest mining below it)
-use no such transition, so their values are exact — the property and integration
-suites pin this against :class:`~repro.markov.chain.MarkovChain` and against
-Monte-Carlo runs of the extracted strategy.
+the reference beyond the inclusion window.  The policies the solver extracts
+(Algorithm 1 above the profitability threshold, honest mining below it, on every
+point of the sweep the README reports) use no such transition, so their values
+are exact: the unit and property suites pin the selfish-pinned evaluation to
+:class:`~repro.analysis.revenue.RevenueModel` field for field, and the
+integration suite pins the extracted strategy against Monte-Carlo runs.
 
-The compiled arrays hold one flat row per ``(state, decision)`` pair: the sparse
-successor distribution and the expected one-step pool/total reward, so the
-solver's Bellman sweeps are plain sparse mat-vecs plus a segmented max.  Each
-:class:`MdpAction` also keeps its Appendix-B records; the exact evaluation of a
-policy settles them through :func:`repro.analysis.revenue.stationary_rates`, the
-fold the analytical model uses, rather than through these one-step sums.
+The model lives on the analytical model's state space, the ``(lead, forked)``
+lumping :class:`~repro.markov.state.LumpedSpace` with the pool's lead capped at
+``max_lead``.  A decision table that decides alike on every state of a class
+induces a chain that lumps exactly as Algorithm 1's does (see
+:class:`~repro.analysis.revenue.RevenueModel`): an override jumps to ``(0, 0)``
+from any state, and its record, the certain regular block, reads nothing of the
+source.  So each representative takes its actions from
+:func:`decision_transitions` with the private cap ``max_lead + public`` and its
+targets mapped through :meth:`~repro.markov.state.LumpedSpace.representative`,
+exactly as :class:`~repro.markov.transitions.LumpedChain` builds its edges:
+withholding at every state reproduces ``LumpedChain.edges`` in order.  That the
+optimum of the unlumped ``(Ls, Lh)`` process is class-measurable, so nothing is
+lost by solving the lumped one, is checked by the test suite against a
+full-space solve.
+
+:class:`MdpModel` compiles every action's transitions into flat edge arrays,
+so a Bellman sweep is a gather and a segmented sum.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.reward_cases import TransitionRewards, transition_rewards
+from ..analysis.reward_cases import RewardRows
 from ..errors import StateSpaceError
-from ..markov.state import State, StateSpace, ZERO_STATE
+from ..markov.state import LumpedSpace, State, ZERO_STATE
 from ..markov.transitions import SelfishTransition, TransitionKind, transitions_from_state
 from ..params import MiningParams
 from ..rewards.schedule import RewardSchedule
@@ -137,126 +148,117 @@ def policy_transitions_from_state(
     """Transition function of the chain induced by a decision table.
 
     ``override_codes`` holds the :meth:`~repro.markov.state.State.encode` codes of
-    the states whose pool-event response is ``OVERRIDE``; every other state
-    withholds (the Algorithm-1 default, which is also the fallback of
+    the class representatives (:meth:`~repro.markov.state.LumpedSpace.representative`)
+    whose pool-event response is ``OVERRIDE``; every other state withholds (the
+    Algorithm-1 default, which is also the fallback of
     :class:`~repro.strategies.optimal.OptimalStrategy` outside its table).  This is
     the enumerator the compiled-table Monte Carlo backend walks when simulating an
     optimal policy.
     """
-    if state == State(1, 1):
-        decision = PoolDecision.OVERRIDE
-    elif state.encode() in override_codes:
+    if state == State(1, 1) or LumpedSpace.representative(state).encode() in override_codes:
         decision = PoolDecision.OVERRIDE
     else:
         decision = PoolDecision.WITHHOLD
     return decision_transitions(state, params, decision, max_lead=max_lead)
 
 
-@dataclass(frozen=True)
-class MdpAction:
-    """One ``(state, decision)`` pair with its transitions and reward records."""
-
-    state: State
-    decision: PoolDecision
-    transitions: tuple[SelfishTransition, ...]
-    records: tuple[TransitionRewards, ...]
-
-    @property
-    def expected_pool_reward(self) -> float:
-        """Expected pool reward of one step under this action."""
-        return sum(t.rate * r.pool.total for t, r in zip(self.transitions, self.records))
-
-    @property
-    def expected_total_reward(self) -> float:
-        """Expected system-wide reward of one step under this action."""
-        return sum(
-            t.rate * (r.pool.total + r.honest.total)
-            for t, r in zip(self.transitions, self.records)
-        )
-
-
 class MdpModel:
-    """Compiled action-conditioned transition tables over the truncated state space.
+    """Compiled action-conditioned transition tables over the lumped state space.
 
     Parameters
     ----------
     params:
         The ``(alpha, gamma)`` parameter point.
     schedule:
-        Reward schedule the per-transition records are evaluated under.
+        Reward schedule the Appendix-B rows are evaluated under.
     max_lead:
-        Truncation of the state space (same semantics as the analytical chain:
-        the pool-extension transition self-loops at the boundary).
+        Cap on the pool's lead, as in
+        :class:`~repro.analysis.revenue.RevenueModel`: a withheld pool block at
+        lead ``max_lead`` self-loops.
+
+    Attributes
+    ----------
+    space:
+        The :class:`~repro.markov.state.LumpedSpace`.
+    decisions:
+        The decision of each flat action.
+    action_offsets:
+        ``action_offsets[i]:action_offsets[i+1]`` are the flat actions of state ``i``.
+    edges:
+        ``(source, target, kind)`` of every transition of every action, in flat
+        action order; ``edge_offsets[a]:edge_offsets[a+1]`` are action ``a``'s.
+    sources, targets, rates:
+        The edges' state indices and rates.
+    rewards:
+        The :class:`~repro.analysis.reward_cases.RewardRows` of the edges.
+    pool_rewards, total_rewards:
+        Expected one-step pool and system-wide reward of each flat action.
     """
 
     def __init__(self, params: MiningParams, schedule: RewardSchedule, *, max_lead: int) -> None:
         self.params = params
         self.schedule = schedule
-        self.space = StateSpace(max_lead)
+        self.space = LumpedSpace(max_lead)
         self._compile()
 
     def _compile(self) -> None:
-        from scipy import sparse
-
         space = self.space
-        actions: list[MdpAction] = []
-        offsets = [0]
-        rows: list[int] = []
-        cols: list[int] = []
-        probabilities: list[float] = []
-        pool_rewards: list[float] = []
-        total_rewards: list[float] = []
+        decisions: list[PoolDecision] = []
+        action_offsets = [0]
+        edge_offsets = [0]
+        transitions: list[SelfishTransition] = []
         for state in space:
             for decision in available_decisions(state):
-                transitions = tuple(
-                    decision_transitions(state, self.params, decision, max_lead=space.max_lead)
+                transitions += decision_transitions(
+                    state, self.params, decision, max_lead=space.max_lead + state.public
                 )
-                records = tuple(
-                    transition_rewards(t, self.params, self.schedule) for t in transitions
-                )
-                action = MdpAction(
-                    state=state, decision=decision, transitions=transitions, records=records
-                )
-                flat_index = len(actions)
-                actions.append(action)
-                for transition in transitions:
-                    rows.append(flat_index)
-                    cols.append(space.index_of(transition.target))
-                    probabilities.append(transition.rate)
-                pool_rewards.append(action.expected_pool_reward)
-                total_rewards.append(action.expected_total_reward)
-            offsets.append(len(actions))
-        self.actions: tuple[MdpAction, ...] = tuple(actions)
-        #: ``action_offsets[i]:action_offsets[i+1]`` are the flat actions of state i.
-        self.action_offsets = np.asarray(offsets, dtype=np.int64)
-        self.transition_matrix = sparse.coo_matrix(
-            (probabilities, (rows, cols)), shape=(len(actions), len(space))
-        ).tocsr()
-        self.pool_rewards = np.asarray(pool_rewards, dtype=np.float64)
-        self.total_rewards = np.asarray(total_rewards, dtype=np.float64)
+                decisions.append(decision)
+                edge_offsets.append(len(transitions))
+            action_offsets.append(len(decisions))
+        self.decisions: tuple[PoolDecision, ...] = tuple(decisions)
+        self.action_offsets = np.asarray(action_offsets, dtype=np.intp)
+        self.edge_offsets = np.asarray(edge_offsets, dtype=np.intp)
+        self.edges: list[tuple[State, State, TransitionKind]] = [
+            (t.source, space.representative(t.target), t.kind) for t in transitions
+        ]
+        self.sources = np.array([space.index_of(source) for source, _, _ in self.edges], dtype=np.intp)
+        self.targets = np.array([space.index_of(target) for _, target, _ in self.edges], dtype=np.intp)
+        self.rates = np.array([t.rate for t in transitions], dtype=np.float64)
+        self.rewards = RewardRows([(t.source, t.kind) for t in transitions], self.schedule)
+        components, _ = self.rewards.gather(self.params, np.arange(len(transitions)))
+        # Columns 0-2 are the pool's static/uncle/nephew rewards, 3-5 the honest miners'.
+        weighted = self.rates[:, None] * components[:, :6]
+        self.pool_rewards = np.add.reduceat(weighted[:, :3].sum(axis=1), self.edge_offsets[:-1])
+        self.total_rewards = np.add.reduceat(weighted.sum(axis=1), self.edge_offsets[:-1])
 
     # ------------------------------------------------------------------ accessors
     @property
     def num_states(self) -> int:
-        """Number of states in the truncated space."""
+        """Number of states in the lumped space."""
         return len(self.space)
 
     @property
     def num_actions(self) -> int:
         """Number of flat ``(state, decision)`` pairs."""
-        return len(self.actions)
+        return len(self.decisions)
 
-    def actions_of(self, state: State) -> tuple[MdpAction, ...]:
-        """All actions available at ``state``."""
-        index = self.space.index_of(state)
-        start, stop = self.action_offsets[index], self.action_offsets[index + 1]
-        return self.actions[start:stop]
+    def expected_values(self, values: np.ndarray) -> np.ndarray:
+        """Each flat action's expected next-state value under the state ``values``."""
+        return np.add.reduceat(self.rates * values[self.targets], self.edge_offsets[:-1])
+
+    def policy_edges(self, policy: np.ndarray) -> np.ndarray:
+        """The edge indices of the flat actions in ``policy``, in order."""
+        offsets = self.edge_offsets.tolist()
+        return np.array(
+            [edge for flat in policy.tolist() for edge in range(offsets[flat], offsets[flat + 1])],
+            dtype=np.intp,
+        )
 
     def flat_index(self, state_index: int, decision: PoolDecision) -> int:
         """Flat action index of ``decision`` at the state with dense ``state_index``."""
         start, stop = self.action_offsets[state_index], self.action_offsets[state_index + 1]
         for flat in range(start, stop):
-            if self.actions[flat].decision is decision:
+            if self.decisions[flat] is decision:
                 return int(flat)
         state = self.space.state_at(state_index)
         raise StateSpaceError(f"state {state} offers no {decision.value!r} decision")
@@ -273,7 +275,7 @@ class MdpModel:
                 )
                 for index in range(self.num_states)
             ],
-            dtype=np.int64,
+            dtype=np.intp,
         )
 
     def honest_policy(self) -> np.ndarray:
@@ -284,7 +286,7 @@ class MdpModel:
         """
         return np.asarray(
             [self.flat_index(index, PoolDecision.OVERRIDE) for index in range(self.num_states)],
-            dtype=np.int64,
+            dtype=np.intp,
         )
 
     def describe(self) -> str:

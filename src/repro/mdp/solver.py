@@ -10,14 +10,15 @@ averages — so the solve is the classic two-level scheme for ratio objectives
    positive exactly when some policy earns a share above ``rho``; the greedy
    policy of the converged values is the improving policy.
 2. **Outer level** (:meth:`MdpSolver.solve`): evaluate the improving policy
-   *exactly* — build the induced :class:`~repro.markov.chain.MarkovChain`, solve
-   its stationary distribution with the sparse LU solve (the ``(Ls, Lh)`` order
-   is not banded, so the analytical model's pure-Python elimination would fill
-   in), and settle the Appendix-B reward records into
-   :class:`~repro.analysis.revenue.RevenueRates` through the fold
-   :class:`~repro.analysis.revenue.RevenueModel` uses for Algorithm 1, so a
-   policy pinned to the selfish decisions reproduces the paper's revenue bit for
-   bit.  The evaluated share becomes the next ``rho``.
+   *exactly*, with the call sequence of
+   :meth:`~repro.analysis.revenue.RevenueModel.revenue_rates`: one banded
+   elimination (:func:`~repro.markov.stationary.banded_solve`) on the chosen
+   edges' state indices, whose override jumps land in the anchored row, then the
+   fold of their Appendix-B rows through
+   :func:`~repro.analysis.revenue.stationary_rates`.  A policy pinned to the
+   selfish decisions therefore reproduces the analytical model's
+   :class:`~repro.analysis.revenue.RevenueRates` bit for bit.  The evaluated
+   share becomes the next ``rho``.
 
 The share sequence is non-decreasing and strictly increases until the optimal
 policy is found (policy-improvement monotonicity — pinned by the property suite),
@@ -31,17 +32,14 @@ workers, each of which re-solves at most once per parameter point) stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..analysis.revenue import RevenueRates, stationary_rates
-from ..analysis.reward_cases import record_rows
 from ..errors import ConvergenceError, ParameterError
-from ..markov.chain import MarkovChain
 from ..markov.state import State
-from ..markov.stationary import stationary_distribution
+from ..markov.stationary import banded_solve
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
@@ -50,9 +48,9 @@ from .model import MdpModel, PoolDecision
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from ..strategies.optimal import OptimalStrategy
 
-#: Default truncation of the solved policy's state space.  Matches the analytical
-#: :class:`~repro.analysis.revenue.RevenueModel` default; the truncation error of
-#: the extracted policy's value decays like ``(alpha / beta) ** max_lead``.
+#: Default cap on the pool's lead in the solved state space.  Matches the
+#: analytical :class:`~repro.analysis.revenue.RevenueModel` default; the truncation
+#: error of the extracted policy's value decays like ``(alpha / beta) ** max_lead``.
 DEFAULT_POLICY_MAX_LEAD = 60
 
 #: Default span tolerance of the relative-value-iteration sweeps.
@@ -70,7 +68,7 @@ DEFAULT_MAX_IMPROVEMENTS = 50
 
 @dataclass(frozen=True)
 class PolicyEvaluation:
-    """Exact long-run rates of one decision table (stationary-solver backed)."""
+    """Exact long-run rates of one decision table and the stationary solve's residual."""
 
     rates: RevenueRates
     residual: float
@@ -88,16 +86,18 @@ class OptimalPolicyResult:
     Attributes
     ----------
     params, max_lead:
-        The parameter point and truncation the policy was solved for.
+        The parameter point and lead cap the policy was solved for.
     decisions:
-        The chosen :class:`~repro.mdp.model.PoolDecision` per state, in the state
-        space's index order.
+        The chosen :class:`~repro.mdp.model.PoolDecision` per state, in
+        :class:`~repro.markov.state.LumpedSpace` index order
+        (``2 * max_lead + 1`` entries).
     override_codes:
-        ``State.encode`` codes of the states whose pool-event response is
-        ``OVERRIDE`` (always includes the forced tie-break at ``(1, 1)``).  This is
-        the lookup table :class:`~repro.strategies.optimal.OptimalStrategy` carries.
+        Sorted ``State.encode`` codes of the class representatives whose
+        pool-event response is ``OVERRIDE`` (always includes the forced tie-break
+        at ``(1, 1)``).  This is the lookup table
+        :class:`~repro.strategies.optimal.OptimalStrategy` carries.
     revenue:
-        Exact long-run rates of the optimal policy (stationary-solver backed).
+        Exact long-run rates of the optimal policy.
     shares:
         The Dinkelbach share sequence, starting from Algorithm 1's share; it is
         non-decreasing and its last entry is the optimal share.
@@ -162,7 +162,7 @@ class MdpSolver:
     schedule:
         Reward schedule (defaults to Ethereum Byzantium, like the analysis).
     max_lead:
-        Truncation of the state space.
+        Cap on the pool's lead (see :class:`~repro.mdp.model.MdpModel`).
     """
 
     def __init__(
@@ -184,31 +184,31 @@ class MdpSolver:
     def evaluate(self, policy: np.ndarray) -> PolicyEvaluation:
         """Exact long-run rates of ``policy`` (flat action index per state).
 
-        Builds the induced Markov chain, solves its stationary distribution with
-        the sparse LU solve
-        :func:`~repro.markov.stationary.stationary_distribution`, and settles the
-        chosen actions' Appendix-B records through
-        :func:`repro.analysis.revenue.stationary_rates`
-        — the call :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` makes
-        for Algorithm 1, so the selfish-pinned policy reproduces the paper's
-        revenue exactly.
+        Solves the chain the chosen actions' edges form with
+        :func:`~repro.markov.stationary.banded_solve` and settles their
+        Appendix-B rows through :func:`repro.analysis.revenue.stationary_rates`,
+        as :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` does for
+        Algorithm 1, so the selfish-pinned policy reproduces it exactly.
         """
         model = self.model
-        chosen = [model.actions[int(flat)] for flat in policy]
-        transitions = [t for action in chosen for t in action.transitions]
-        records = [r for action in chosen for r in action.records]
-        space = model.space
-        chain = MarkovChain(space.states, [t.as_transition() for t in transitions])
-        stationary = stationary_distribution(chain)
-        rates = stationary_rates(
-            self.params,
-            stationary.probabilities,
-            [space.index_of(t.source) for t in transitions],
-            [t.rate for t in transitions],
-            partial(record_rows, records.__getitem__),
-            space.boundary_indices(),
+        params = self.params
+        chosen = model.policy_edges(policy)
+        sources = model.sources[chosen].tolist()
+        targets = model.targets[chosen].tolist()
+        rates = model.rates[chosen].tolist()
+        probabilities, residual = banded_solve(
+            model.num_states,
+            [(source, target, rate) for source, target, rate in zip(sources, targets, rates) if source != target],
         )
-        return PolicyEvaluation(rates=rates, residual=stationary.residual)
+        revenue = stationary_rates(
+            params,
+            probabilities,
+            sources,
+            rates,
+            lambda live: model.rewards.gather(params, chosen[live]),
+            model.space.boundary_indices(),
+        )
+        return PolicyEvaluation(rates=revenue, residual=residual)
 
     def evaluate_decisions(self, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:
         """Evaluate a policy given as a (possibly partial) ``state -> decision`` map.
@@ -244,7 +244,7 @@ class MdpSolver:
         starts = model.action_offsets[:-1]
         h = np.zeros(model.num_states) if values is None else values.copy()
         for iteration in range(1, max_iterations + 1):
-            q = rewards + model.transition_matrix @ h
+            q = rewards + model.expected_values(h)
             best = np.maximum.reduceat(q, starts)
             delta = best - h
             span = float(delta.max() - delta.min())
@@ -252,7 +252,7 @@ class MdpSolver:
             # iterates stay bounded — the defining trick of *relative* VI.
             h = best - best[0]
             if span < tolerance:
-                q = rewards + model.transition_matrix @ h
+                q = rewards + model.expected_values(h)
                 return self._greedy(q), h, iteration
         raise ConvergenceError(
             f"relative value iteration did not reach span {tolerance:g} within "
@@ -308,11 +308,13 @@ class MdpSolver:
                 f"policy improvement did not stabilise within {max_improvements} "
                 f"rounds ({model.describe()}); last shares {shares[-3:]}"
             )
-        decisions = tuple(model.actions[int(flat)].decision for flat in policy)
+        decisions = tuple(model.decisions[flat] for flat in policy.tolist())
         override_codes = tuple(
-            model.space.state_at(index).encode()
-            for index, decision in enumerate(decisions)
-            if decision is PoolDecision.OVERRIDE
+            sorted(
+                state.encode()
+                for state, decision in zip(model.space, decisions)
+                if decision is PoolDecision.OVERRIDE
+            )
         )
         return OptimalPolicyResult(
             params=self.params,
@@ -411,7 +413,17 @@ def _policy_payload(result: OptimalPolicyResult) -> dict:
 
 
 def _policy_from_payload(payload: dict) -> OptimalPolicyResult:
-    """Rebuild a solved policy from its stored payload."""
+    """Rebuild a solved policy from its stored payload.
+
+    Raises :class:`ValueError` when the decision table does not have one entry
+    per :class:`~repro.markov.state.LumpedSpace` state, as a payload stored by a
+    solver on another state space does not.
+    """
+    if len(payload["decisions"]) != 2 * payload["max_lead"] + 1:
+        raise ValueError(
+            f"stored policy has {len(payload['decisions'])} decisions, not one per "
+            f"state of the lumped space at max_lead={payload['max_lead']}"
+        )
     revenue = payload["revenue"]
     params = MiningParams(alpha=payload["alpha"], gamma=payload["gamma"])
     rates = RevenueRates(

@@ -14,8 +14,9 @@ compile time:
 * every distinct transition gets one global index and one row of a numpy *reward
   matrix* holding its :data:`~repro.analysis.reward_cases.REWARD_COMPONENTS` vector
   — each :class:`~repro.analysis.reward_cases.TransitionRewards` component is
-  computed once per transition instead of once per event.  On the paper's chain a
-  state's records depend only on its ``(lead, forked)`` class, so the rows are
+  computed once per transition instead of once per event.  On the paper's chain,
+  and on the chain of an optimal policy (whose decisions are looked up by class),
+  a state's records depend only on its ``(lead, forked)`` class, so the rows are
   computed once per class and shared by every state of it (480 selfish runs of
   2,000 blocks evaluated 14,455 records this way instead of 38,092 per state);
 * the chain walk then only compares a buffered uniform draw against the cumulative
@@ -34,12 +35,12 @@ States are compiled lazily as the walk first reaches them, so no truncation leve
 has to be chosen up front.  Thresholds, targets and transition indices stay per
 state, so the settlement sums the same rows in the same order as a per-state
 compilation and is bit-identical to it.  The reward records cost one evaluation per
-visited class; an explicit ``transitions`` enumerator (an optimal policy's chain,
-whose per-state actions need not be lumpable) is evaluated per visited state.
+visited class.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -75,11 +76,14 @@ class CompiledTransitionTables:
     transitions:
         Optional replacement transition enumerator (``state -> transitions``).
         Defaults to the paper's Algorithm-1 chain
-        (:func:`~repro.markov.transitions.transitions_from_state`), whose reward
-        rows are computed once per ``(lead, forked)`` class; the optimal
+        (:func:`~repro.markov.transitions.transitions_from_state`); the optimal
         strategy passes the chain induced by its solved policy
         (:func:`~repro.mdp.model.policy_transitions_from_state`) so the same walk
         and settlement machinery simulates any withhold/override decision table.
+        Either way a state's reward rows are computed once per ``(lead,
+        forked)`` class, so the enumerator must give every state of a class
+        transitions of the same kinds with the same uncle distances, as both of
+        these do.
     """
 
     def __init__(
@@ -93,7 +97,11 @@ class CompiledTransitionTables:
         self.params = params
         self.schedule = schedule
         self.max_lead = max_lead
-        self._transition_fn = transitions
+        self._transitions_of = (
+            transitions
+            if transitions is not None
+            else partial(transitions_from_state, params=params, max_lead=max_lead)
+        )
         self._rows: dict[int, list] = {}
         self._transitions: list[SelfishTransition] = []
         self._component_rows: list[tuple[float, ...]] = []
@@ -128,17 +136,13 @@ class CompiledTransitionTables:
 
     def _compile(self, code: int) -> list:
         state = decode_state(code)
-        if self._transition_fn is None:
-            transitions = list(transitions_from_state(state, self.params, max_lead=self.max_lead))
-            # The paper's chain: a state's Appendix-B records depend only on its
-            # (lead, forked) class, so each class's rows are computed once.
-            key = (state.lead, state.public == 0)
-            rows = self._class_rows.get(key)
-            if rows is None:
-                rows = self._class_rows[key] = self._reward_rows(transitions)
-        else:
-            transitions = list(self._transition_fn(state))
-            rows = self._reward_rows(transitions)
+        transitions = list(self._transitions_of(state))
+        # A state's Appendix-B records depend only on its (lead, forked) class,
+        # so each class's rows are computed once.
+        key = (state.lead, state.public == 0)
+        rows = self._class_rows.get(key)
+        if rows is None:
+            rows = self._class_rows[key] = self._reward_rows(transitions)
         thresholds: list[float] = []
         cumulative = 0.0
         for transition in transitions:

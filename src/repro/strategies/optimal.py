@@ -1,10 +1,12 @@
 """The solved optimal policy as a pluggable mining strategy.
 
 :class:`OptimalStrategy` is a plain policy lookup table: after the pool mines a
-block it decodes the *source* state of the event — race view ``(Ls, Lh)`` came
+block it takes the *source* state of the event — race view ``(Ls, Lh)`` came
 from state ``(Ls - 1, Lh)`` — and overrides (publishes everything, claims the
-race) exactly when that state's :meth:`~repro.markov.state.State.encode` code is
-in the table; otherwise it withholds, Algorithm 1's default.  Reactions to honest
+race) exactly when the :meth:`~repro.markov.state.State.encode` code of that
+state's ``(lead, forked)`` class representative
+(:meth:`~repro.markov.state.LumpedSpace.representative`) is in the table;
+otherwise it withholds, Algorithm 1's default.  Reactions to honest
 blocks are Algorithm 1's (adopt behind, match the tie, override a lead of one,
 reveal one block against deeper leads) — the regime the MDP's reward model is
 exact in (see :mod:`repro.mdp`).  The table therefore expresses honest mining
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ParameterError, StateSpaceError
-from ..markov.state import State
+from ..markov.state import LumpedSpace, State
 from ..mdp.solver import DEFAULT_POLICY_MAX_LEAD, solve_optimal_policy
 from ..params import MiningParams
 from ..rewards.schedule import RewardSchedule
@@ -48,10 +50,11 @@ class OptimalStrategy:
     Parameters
     ----------
     override_codes:
-        Sorted, duplicate-free ``State.encode`` codes of the states whose
-        pool-event response is ``OVERRIDE``.  Solver-produced tables always
-        contain code 2 — the forced tie-break win at ``(1, 1)`` — so the strategy
-        contains Algorithm 1's one publishing rule as a special case.
+        Sorted, duplicate-free ``State.encode`` codes of the class
+        representatives whose pool-event response is ``OVERRIDE``.
+        Solver-produced tables always contain code 2 — the forced tie-break win
+        at ``(1, 1)`` — so the strategy contains Algorithm 1's one publishing
+        rule as a special case.
     """
 
     override_codes: tuple[int, ...]
@@ -75,7 +78,7 @@ class OptimalStrategy:
     def overrides_at(self, state: State) -> bool:
         """True when the policy overrides after mining a block *from* ``state``."""
         try:
-            return state.encode() in self._override_set  # type: ignore[attr-defined]
+            return LumpedSpace.representative(state).encode() in self._override_set  # type: ignore[attr-defined]
         except StateSpaceError:
             return False
 

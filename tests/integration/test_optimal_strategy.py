@@ -8,8 +8,8 @@ Two acceptance facts pin the subsystem end to end:
   (3 sigma of the run spread, plus the same small finite-sample slack the network
   equivalence suite uses);
 * across the whole figure-8 alpha grid the optimal share dominates Algorithm 1's
-  revenue on the same ``(Ls, Lh)`` chain (equality where Algorithm 1 *is*
-  optimal), and the solver's policy structure flips from honest to selfish
+  revenue from :class:`~repro.analysis.revenue.RevenueModel` at the same lead
+  cap (equality where Algorithm 1 *is* optimal), and the solver's policy structure flips from honest to selfish
   exactly once — the profitability threshold, rediscovered as an argmax rather
   than a revenue crossing.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import pytest
-from reference_markov import full_chain_revenue_rates
 
 from repro.analysis.sweep import alpha_grid
 from repro.mdp.solver import solve_optimal_policy
@@ -71,11 +70,7 @@ class TestFigure8Dominance:
         for alpha in ALPHAS:
             params = MiningParams(alpha=alpha, gamma=0.5)
             policy = solve_optimal_policy(params)
-            selfish = (
-                full_chain_revenue_rates(ethereum_model, params).relative_pool_revenue
-                if alpha > 0.0
-                else 0.0
-            )
+            selfish = ethereum_model.relative_pool_revenue(params) if alpha > 0.0 else 0.0
             cells.append((alpha, policy, selfish))
         return cells
 

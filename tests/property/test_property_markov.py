@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_markov import build_selfish_mining_chain
+from reference_markov import StateSpace, build_selfish_mining_chain
 
 from repro.analysis.reward_cases import transition_rewards
-from repro.markov.state import State, StateSpace
+from repro.markov.state import State
 from repro.markov.stationary import stationary_distribution
 from repro.markov.transitions import transitions_from_state
 from repro.params import MiningParams

@@ -4,12 +4,12 @@ Three families of universally quantified facts:
 
 * **Solver optimality** — the solved share dominates every policy the MDP's
   family contains, in particular the analytically evaluable catalogue corners
-  (Algorithm 1 via the ``(Ls, Lh)`` chain oracle of ``reference_markov``, honest
-  mining's ``revenue = alpha``), for random ``(alpha, gamma)`` points.
+  (Algorithm 1, honest mining's ``revenue = alpha``), for random
+  ``(alpha, gamma)`` points.
 * **Policy-improvement monotonicity** — the Dinkelbach share sequence never
-  decreases, and pinning the policy to Algorithm 1 reproduces the
-  :class:`~repro.markov.chain.MarkovChain` stationary revenue exactly: the MDP is
-  a strict generalisation of the paper's chain, not a parallel implementation.
+  decreases, and pinning the policy to Algorithm 1 reproduces
+  :class:`~repro.analysis.revenue.RevenueModel`'s rates exactly: the MDP is a
+  strict generalisation of the paper's chain, not a parallel implementation.
 * **Engine safety of arbitrary tables** — an :class:`OptimalStrategy` built from
   a *random* withhold/override table (not just solved ones) keeps every chain
   simulator invariant: the accounting closes, the tree validates, and overrides
@@ -18,14 +18,15 @@ Three families of universally quantified facts:
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
-from reference_markov import full_chain_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
 from repro.chain.validation import validate_tree
-from repro.markov.state import State, StateSpace
+from repro.markov.state import LumpedSpace, State
 from repro.mdp.solver import MdpSolver
 from repro.params import MiningParams
 from repro.simulation.config import SimulationConfig
@@ -37,9 +38,9 @@ from repro.strategies import OptimalStrategy
 #: the dominance facts are exact rather than tolerance-smeared.
 MAX_LEAD = 12
 
-#: Codes eligible for random policy tables (states of a small space), always
-#: joined with the forced tie-break code.
-TABLE_CODES = sorted(state.encode() for state in StateSpace(8))
+#: Codes eligible for random policy tables (class representatives of a small
+#: space), always joined with the forced tie-break code.
+TABLE_CODES = sorted(state.encode() for state in LumpedSpace(8))
 TIE_CODE = State(1, 1).encode()
 
 parameter_points = st.tuples(
@@ -76,18 +77,14 @@ def test_policy_improvement_is_monotone(point):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(point=parameter_points)
 def test_selfish_pinned_value_matches_the_markov_chain_revenue(point):
-    """Pinning the policy to Algorithm 1 reproduces the stationary-chain revenue."""
+    """Pinning the policy to Algorithm 1 reproduces the analytical model's rates exactly."""
     alpha, gamma = point
     params = MiningParams(alpha=alpha, gamma=gamma)
     solver = MdpSolver(params, max_lead=MAX_LEAD)
-    pinned = solver.evaluate(solver.model.selfish_policy())
-    expected = full_chain_revenue_rates(RevenueModel(max_lead=MAX_LEAD), params)
-    if alpha == 0.0:
-        assert pinned.share == pytest.approx(0.0, abs=1e-15)
-    else:
-        assert pinned.share == pytest.approx(expected.relative_pool_revenue, abs=1e-10)
-    assert pinned.rates.regular_rate == pytest.approx(expected.regular_rate, abs=1e-10)
-    assert pinned.rates.stale_rate == pytest.approx(expected.stale_rate, abs=1e-10)
+    pinned = solver.evaluate(solver.model.selfish_policy()).rates
+    expected = RevenueModel(max_lead=MAX_LEAD).revenue_rates(params)
+    for field in dataclasses.fields(expected):
+        assert getattr(pinned, field.name) == getattr(expected, field.name), field.name
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

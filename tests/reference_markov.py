@@ -1,4 +1,4 @@
-"""Scalar oracles for the Markov layer: Monte Carlo, stationary solve and revenue.
+"""Scalar oracles for the Markov layer: Monte Carlo, stationary solve, revenue and the MDP.
 
 * :func:`scalar_markov_run` is the per-event Markov Monte Carlo, the oracle for
   ``MarkovMonteCarlo``: one uniform draw per event picks the next transition by
@@ -7,14 +7,21 @@
   transition sequence from the same seed and agree on every total to
   float-reassociation accuracy.
 * :func:`solve_power_iteration` iterates the uniformised transition matrix, an
-  independent cross-check of the sparse direct ``stationary_distribution``.
+  independent cross-check of the sparse direct ``stationary_distribution``;
+  :func:`banded_stationary_distribution` runs ``banded_solve`` on a
+  ``MarkovChain``, so the two solves can be compared on the same chain.
 * :func:`scalar_revenue_rates` accumulates the long-run rates one transition at a
   time, the oracle for the ``fold_rewards`` product ``RevenueModel`` settles with.
-* :func:`full_chain_revenue_rates` solves the unlumped ``(Ls, Lh)`` chain of
-  Section IV-C, its private branch capped at ``max_lead``
-  (:func:`build_selfish_mining_chain`), and folds it with ``stationary_rates``: the
-  oracle for the exact ``(lead, forked)`` lumping ``RevenueModel`` solves, and for
-  the MDP, which walks the same ``(Ls, Lh)`` space.
+* :class:`StateSpace` is the unlumped ``(Ls, Lh)`` space with the private branch
+  capped at ``max_lead``.  :func:`full_chain_revenue_rates` solves the chain of
+  Section IV-C on it (:func:`build_selfish_mining_chain`) and folds it with
+  ``stationary_rates``: the oracle for the exact ``(lead, forked)`` lumping
+  ``RevenueModel`` solves.
+* :func:`full_space_optimal_policy` solves the withhold/override MDP on that
+  unlumped space (relative value iteration in a Dinkelbach loop, each policy
+  evaluated by a SuperLU solve and one record per transition): the oracle for
+  the lumped ``MdpSolver``, whose optimum must take the same decision at every
+  state of a class.
 * :class:`BitcoinSelfishMiningModel` is Eyal and Sirer's 1-D Bitcoin chain with
   their deterministic reward tracking, solved numerically: the oracle for the
   closed forms ``repro.analysis.bitcoin`` ships and for the 2-D model under a
@@ -25,20 +32,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from repro.analysis.revenue import RevenueModel, RevenueRates, stationary_rates
-from repro.analysis.reward_cases import record_rows, transition_rewards
-from repro.errors import ConvergenceError, ParameterError
+from repro.analysis.reward_cases import REWARD_COMPONENTS, TransitionRewards, transition_rewards
+from repro.errors import ConvergenceError, ParameterError, StateSpaceError
 from repro.markov.chain import MarkovChain, Transition
-from repro.markov.state import LumpedSpace, State, StateSpace
-from repro.markov.stationary import StationaryResult, stationary_distribution
+from repro.markov.state import LumpedSpace, State
+from repro.markov.stationary import StationaryResult, banded_solve, stationary_distribution
 from repro.markov.transitions import SelfishTransition, selfish_mining_transitions, transitions_from_state
+from repro.mdp.model import PoolDecision, available_decisions, decision_transitions
 from repro.params import MiningParams
 from repro.rewards.breakdown import PartyRewards, RevenueSplit
+from repro.rewards.schedule import RewardSchedule
 from repro.simulation.config import SimulationConfig
 from repro.simulation.fast import UNBOUNDED_LEAD
 from repro.simulation.metrics import SimulationResult
@@ -132,6 +141,19 @@ def scalar_markov_run(
     return result, state
 
 
+def banded_stationary_distribution(chain: MarkovChain) -> StationaryResult:
+    """The stationary distribution of ``chain`` by ``banded_solve``, self-loops dropped.
+
+    The chain must be banded in its state order, as ``banded_solve`` explains.
+    """
+    index = chain.index_of
+    moves = [
+        (index(t.source), index(t.target), t.rate) for t in chain.transitions if t.source != t.target
+    ]
+    probabilities, residual = banded_solve(len(chain), moves)
+    return StationaryResult(chain=chain, probabilities=probabilities, residual=residual)
+
+
 def solve_power_iteration(
     chain: MarkovChain, *, tolerance: float = 1e-12, max_iterations: int = 200_000
 ) -> StationaryResult:
@@ -204,6 +226,86 @@ def scalar_revenue_rates(model: RevenueModel, params: MiningParams) -> RevenueRa
     )
 
 
+def enumerate_states(max_lead: int) -> list[State]:
+    """All reachable ``(Ls, Lh)`` states with ``Ls <= max_lead``, in ``State.encode`` order.
+
+    The three special states first, then the ``(i, j)`` states ordered by ``i`` and
+    then ``j``.  ``max_lead`` must be at least 2.
+    """
+    if max_lead < 2:
+        raise StateSpaceError(f"max_lead must be at least 2, got {max_lead}")
+    states: list[State] = [State(0, 0), State(1, 0), State(1, 1)]
+    for i in range(2, max_lead + 1):
+        for j in range(0, i - 1):  # j <= i - 2
+            states.append(State(i, j))
+    return states
+
+
+class StateSpace:
+    """The unlumped ``(Ls, Lh)`` states with the private branch capped at ``max_lead``, indexed.
+
+    The pool's extension out of a state with ``Ls == max_lead`` self-loops
+    (:meth:`on_boundary`).
+    """
+
+    def __init__(self, max_lead: int) -> None:
+        self.max_lead = int(max_lead)
+        self.states = tuple(enumerate_states(self.max_lead))
+        self._index = {state: position for position, state in enumerate(self.states)}
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self) -> Iterator[State]:
+        return iter(self.states)
+
+    def __contains__(self, state: State) -> bool:
+        return state in self._index
+
+    def index_of(self, state: State) -> int:
+        """The dense index of ``state``; raise if it is not in the space."""
+        try:
+            return self._index[state]
+        except KeyError as exc:
+            raise StateSpaceError(f"state {state} is not in the truncated state space") from exc
+
+    def state_at(self, index: int) -> State:
+        """The state stored at dense ``index``."""
+        try:
+            return self.states[index]
+        except IndexError as exc:
+            raise StateSpaceError(f"index {index} out of range for state space of size {len(self)}") from exc
+
+    def on_boundary(self, state: State) -> bool:
+        """True if the pool's extension out of ``state`` self-loops (``Ls == max_lead``)."""
+        return state.private == self.max_lead
+
+    def boundary_indices(self) -> list[int]:
+        """Indices of the states :meth:`on_boundary` picks, in index order."""
+        return [position for position, state in enumerate(self.states) if self.on_boundary(state)]
+
+    def describe(self) -> str:
+        """Short human-readable summary of the truncated space."""
+        return f"StateSpace(max_lead={self.max_lead}, states={len(self)})"
+
+
+def record_rows(
+    record_for: Callable[[int], TransitionRewards], indices: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, list[tuple[tuple[bool, int, float], ...]]]:
+    """The component and distance rows of the records ``record_for(k)`` for ``k`` in ``indices``.
+
+    The per-record counterpart of ``RewardRows.gather``, for chains whose records
+    are built one transition at a time.
+    """
+    components = np.empty((len(indices), len(REWARD_COMPONENTS)))
+    distance_rows = []
+    for row, k in enumerate(indices):
+        record = record_for(k)
+        components[row] = record.component_vector()
+        distance_rows.append(record.distance_contributions())
+    return components, distance_rows
+
+
 def full_chain_transitions(params: MiningParams, space: StateSpace) -> list[SelfishTransition]:
     """Every transition of the ``(Ls, Lh)`` chain with the private branch capped at ``space.max_lead``."""
     transitions: list[SelfishTransition] = []
@@ -217,7 +319,7 @@ def build_selfish_mining_chain(
 ) -> MarkovChain[State]:
     """The truncated ``(Ls, Lh)`` chain of Section IV-C; ``max_lead`` is ignored when ``space`` is given."""
     if space is None:
-        space = StateSpace(max_lead) if max_lead is not None else StateSpace()
+        space = StateSpace(max_lead)
     labelled = full_chain_transitions(params, space)
     chain = MarkovChain(space.states, [t.as_transition() for t in labelled])
     chain.validate(expect_unit_exit_rate=True)
@@ -236,6 +338,96 @@ def full_chain_revenue_rates(model: RevenueModel, params: MiningParams) -> Reven
         [t.rate for t in labelled],
         partial(record_rows, lambda k: transition_rewards(labelled[k], params, model.schedule)),
         space.boundary_indices(),
+    )
+
+
+@dataclass(frozen=True)
+class FullSpaceOptimum:
+    """The optimal withhold/override policy on the unlumped ``(Ls, Lh)`` space."""
+
+    decisions: dict[State, PoolDecision]
+    rates: RevenueRates
+
+    @property
+    def share(self) -> float:
+        """The pool's optimal relative revenue."""
+        return self.rates.relative_pool_revenue
+
+
+def full_space_optimal_policy(
+    params: MiningParams, schedule: RewardSchedule, *, max_lead: int, tolerance: float = 1e-10
+) -> FullSpaceOptimum:
+    """Solve the withhold/override MDP of ``repro.mdp`` on ``StateSpace(max_lead)``.
+
+    Each state offers the actions ``available_decisions`` lists, with the
+    transitions ``decision_transitions`` gives under the private cap
+    ``max_lead``.  Relative value iteration on ``pool - rho * total`` proposes a
+    greedy policy (ties keep withhold); each proposal is evaluated exactly by a
+    SuperLU solve of its chain and the fold of its transitions' records, and the
+    evaluated share becomes the next ``rho`` until the policy stops improving.
+    """
+    space = StateSpace(max_lead)
+    actions: list[tuple[PoolDecision, list[SelfishTransition], list[TransitionRewards]]] = []
+    offsets = [0]
+    rows, cols, probabilities = [], [], []
+    for state in space:
+        for decision in available_decisions(state):
+            transitions = decision_transitions(state, params, decision, max_lead=max_lead)
+            for transition in transitions:
+                rows.append(len(actions))
+                cols.append(space.index_of(transition.target))
+                probabilities.append(transition.rate)
+            records = [transition_rewards(t, params, schedule) for t in transitions]
+            actions.append((decision, transitions, records))
+        offsets.append(len(actions))
+    matrix = sparse.csr_matrix((probabilities, (rows, cols)), shape=(len(actions), len(space)))
+    pool = np.array([sum(t.rate * r.pool.total for t, r in zip(ts, rs)) for _, ts, rs in actions])
+    total = np.array(
+        [sum(t.rate * (r.pool.total + r.honest.total) for t, r in zip(ts, rs)) for _, ts, rs in actions]
+    )
+    starts = np.array(offsets[:-1])
+
+    def evaluate(policy: list[int]) -> RevenueRates:
+        transitions = [t for flat in policy for t in actions[flat][1]]
+        records = [r for flat in policy for r in actions[flat][2]]
+        chain = MarkovChain(space.states, [t.as_transition() for t in transitions])
+        return stationary_rates(
+            params,
+            stationary_distribution(chain).probabilities,
+            [space.index_of(t.source) for t in transitions],
+            [t.rate for t in transitions],
+            partial(record_rows, records.__getitem__),
+            space.boundary_indices(),
+        )
+
+    def greedy(q: np.ndarray) -> list[int]:
+        return [start + int(np.argmax(q[start:stop])) for start, stop in zip(offsets, offsets[1:])]
+
+    # Algorithm 1: each state's first action, withhold or the tie's forced override.
+    policy = offsets[:-1]
+    rates = evaluate(policy)
+    values = np.zeros(len(space))
+    for _ in range(50):
+        rewards = pool - rates.relative_pool_revenue * total
+        for _ in range(200_000):
+            best = np.maximum.reduceat(rewards + matrix @ values, starts)
+            delta = best - values
+            values = best - best[0]
+            if float(delta.max() - delta.min()) < tolerance:
+                break
+        else:
+            raise ConvergenceError("relative value iteration did not converge")
+        improved = greedy(rewards + matrix @ values)
+        if improved == policy:
+            break
+        improved_rates = evaluate(improved)
+        if improved_rates.relative_pool_revenue <= rates.relative_pool_revenue + 1e-12:
+            break
+        policy, rates = improved, improved_rates
+    else:
+        raise ConvergenceError("policy improvement did not stabilise")
+    return FullSpaceOptimum(
+        decisions={state: actions[flat][0] for state, flat in zip(space, policy)}, rates=rates
     )
 
 

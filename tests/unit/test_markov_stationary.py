@@ -6,11 +6,15 @@ import warnings
 
 import pytest
 
-from reference_markov import build_selfish_mining_chain, solve_power_iteration
+from reference_markov import (
+    banded_stationary_distribution,
+    build_selfish_mining_chain,
+    solve_power_iteration,
+)
 
 from repro.errors import SolverError
 from repro.markov.chain import MarkovChain, Transition
-from repro.markov.stationary import banded_stationary_distribution, stationary_distribution
+from repro.markov.stationary import stationary_distribution
 from repro.markov.state import LumpedSpace, State
 from repro.markov.transitions import selfish_mining_transitions
 from repro.params import MiningParams

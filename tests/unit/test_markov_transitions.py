@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import pytest
-from reference_markov import build_selfish_mining_chain
+from reference_markov import StateSpace, build_selfish_mining_chain
 
-from repro.markov.state import LumpedSpace, State, StateSpace
+from repro.markov.state import LumpedSpace, State
 from repro.markov.transitions import (
     LumpedChain,
     TransitionKind,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from reference_markov import full_chain_revenue_rates
 
 from repro.analysis.revenue import RevenueModel
 from repro.errors import ConvergenceError, ParameterError
@@ -31,24 +30,23 @@ class TestPolicyEvaluation:
         model = RevenueModel(max_lead=MAX_LEAD)
         for alpha, gamma in [(0.2, 0.3), (0.35, 0.5), (0.45, 0.9)]:
             solver = solver_at(alpha, gamma)
-            evaluation = solver.evaluate(solver.model.selfish_policy())
-            expected = full_chain_revenue_rates(model, MiningParams(alpha=alpha, gamma=gamma))
-            assert evaluation.share == pytest.approx(
-                expected.relative_pool_revenue, abs=1e-12
-            )
-            assert evaluation.rates.uncle_rate == pytest.approx(expected.uncle_rate, abs=1e-12)
-            assert evaluation.rates.stale_rate == pytest.approx(expected.stale_rate, abs=1e-12)
-
-    def test_selfish_pinned_equals_the_revenue_model_field_by_field(self):
-        # Both settle through the same fold over the same (Ls, Lh) chain, so nothing
-        # may differ.
-        model = RevenueModel(max_lead=MAX_LEAD)
-        for alpha, gamma in [(0.2, 0.3), (0.35, 0.0), (0.45, 1.0)]:
-            solver = solver_at(alpha, gamma)
             evaluated = solver.evaluate(solver.model.selfish_policy()).rates
-            expected = full_chain_revenue_rates(model, MiningParams(alpha=alpha, gamma=gamma))
+            expected = model.revenue_rates(MiningParams(alpha=alpha, gamma=gamma))
             for field in dataclasses.fields(expected):
                 assert getattr(evaluated, field.name) == getattr(expected, field.name), field.name
+
+    def test_selfish_pinned_equals_the_revenue_model_field_by_field(self):
+        # Withholding everywhere is the analytical model's lumped chain, solved
+        # and folded by the same calls, so nothing may differ.
+        for max_lead in (MAX_LEAD, 60):
+            model = RevenueModel(max_lead=max_lead)
+            for alpha, gamma in [(0.2, 0.3), (0.35, 0.0), (0.45, 0.0), (0.45, 1.0)]:
+                params = MiningParams(alpha=alpha, gamma=gamma)
+                solver = MdpSolver(params, max_lead=max_lead)
+                evaluated = solver.evaluate(solver.model.selfish_policy()).rates
+                expected = model.revenue_rates(params)
+                for field in dataclasses.fields(expected):
+                    assert getattr(evaluated, field.name) == getattr(expected, field.name), field.name
 
     def test_honest_pinned_earns_exactly_alpha(self):
         for alpha in (0.1, 0.3, 0.45):
@@ -74,15 +72,18 @@ class TestSolve:
         result = solver_at(0.4, 0.5).solve()
         assert result.policy_label() == "selfish"
         assert result.divergence_from_selfish() == ()
-        expected = full_chain_revenue_rates(
-            RevenueModel(max_lead=MAX_LEAD), MiningParams(alpha=0.4, gamma=0.5)
-        ).relative_pool_revenue
-        assert result.optimal_share == pytest.approx(expected, abs=1e-12)
+        expected = RevenueModel(max_lead=MAX_LEAD).relative_pool_revenue(MiningParams(alpha=0.4, gamma=0.5))
+        assert result.optimal_share == expected
 
     def test_share_sequence_is_monotone_and_ends_at_the_optimum(self):
         result = solver_at(0.15, 0.5).solve()
         assert list(result.shares) == sorted(result.shares)
         assert result.shares[-1] == pytest.approx(result.optimal_share, abs=1e-12)
+
+    def test_decisions_cover_the_lumped_space(self):
+        result = solver_at(0.1, 0.5).solve()
+        assert len(result.decisions) == 2 * MAX_LEAD + 1
+        assert result.override_codes == (State(0, 0).encode(), State(1, 1).encode())
 
     def test_override_codes_always_contain_the_forced_tie_break(self):
         for alpha in (0.1, 0.3, 0.45):

@@ -6,13 +6,17 @@ import dataclasses
 import random
 
 import pytest
-from reference_markov import full_chain_revenue_rates, scalar_revenue_rates
+from reference_markov import (
+    StateSpace,
+    banded_stationary_distribution,
+    full_chain_revenue_rates,
+    scalar_revenue_rates,
+)
 
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.reward_cases import transition_rewards
 from repro.markov.chain import MarkovChain
-from repro.markov.stationary import banded_stationary_distribution
-from repro.markov.state import LumpedSpace, StateSpace
+from repro.markov.state import LumpedSpace
 from repro.markov.transitions import selfish_mining_transitions, transitions_from_state
 from repro.params import MiningParams
 from repro.rewards.schedule import BitcoinSchedule, EthereumByzantiumSchedule, FlatUncleSchedule

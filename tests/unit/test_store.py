@@ -361,3 +361,27 @@ class TestPolicyStoreLevel:
         clear_policy_cache()
         second = solve_optimal_policy(params, max_lead=8, store=store)
         assert second == first
+
+    def test_policy_stored_on_the_unlumped_space_reads_as_a_miss(self, store):
+        from repro.mdp.solver import (
+            _policy_payload,
+            _policy_store_key,
+            clear_policy_cache,
+            solve_optimal_policy,
+        )
+
+        params = MiningParams(alpha=0.35, gamma=0.5)
+        schedule = EthereumByzantiumSchedule()
+        clear_policy_cache()
+        lumped = solve_optimal_policy(params, max_lead=8)
+        # An (Ls, Lh) solve at max_lead 8 decided 31 states, not 2 * 8 + 1.
+        old_shape = _policy_payload(lumped)
+        old_shape["decisions"] = ["withhold", "withhold", "override"] + ["withhold"] * 28
+        key = _policy_store_key(params, schedule, 8)
+        store.put(POLICY_NAMESPACE, key, old_shape)
+        clear_policy_cache()
+        fresh = solve_optimal_policy(params, max_lead=8, store=store)
+        assert fresh == lumped
+        assert len(fresh.decisions) == 17
+        # The fresh solve replaced the old-shape row.
+        assert store.get(POLICY_NAMESPACE, key) == _policy_payload(lumped)

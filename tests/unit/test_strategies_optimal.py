@@ -62,6 +62,16 @@ class TestPolicyTable:
         assert strategy.after_pool_block(race(3, 0, 0)) is Action.OVERRIDE
         assert strategy.after_pool_block(race(2, 0, 0)) is Action.WITHHOLD
 
+    def test_table_is_consulted_by_class_representative(self):
+        # (4, 1) stands for every forked state at lead 3: (6, 3) is one of them.
+        strategy = OptimalStrategy(
+            override_codes=tuple(sorted({State(1, 1).encode(), State(4, 1).encode()}))
+        )
+        assert strategy.overrides_at(State(6, 3))
+        assert strategy.after_pool_block(race(7, 3, 3)) is Action.OVERRIDE
+        # The unforked lead-3 class is another class.
+        assert strategy.after_pool_block(race(4, 0, 0)) is Action.WITHHOLD
+
     def test_unencodable_source_falls_back_to_withhold(self):
         strategy = OptimalStrategy(override_codes=SELFISH_TABLE)
         # View (3, 5) (possible under network latency) comes from (2, 5), which is

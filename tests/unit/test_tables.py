@@ -100,9 +100,9 @@ class TestClassReuse:
         assert calls[0] == per_class
         assert calls[0] < tables.num_transitions
 
-    def test_explicit_enumerators_reuse_nothing(self, monkeypatch):
-        """An optimal-policy chain compiles every state's records itself: per-state
-        lumpability of a solved policy is not established."""
+    def test_optimal_policy_enumerators_share_class_rows(self, monkeypatch):
+        """An optimal policy decides by class, so its chain's rows are per class too,
+        and equal the fresh record of every walked transition value for value."""
         calls = count_transition_rewards(monkeypatch)
         params = MiningParams(alpha=0.42, gamma=0.3)
         policy = partial(
@@ -115,8 +115,14 @@ class TestClassReuse:
             params, EthereumByzantiumSchedule(), max_lead=MAX_LEAD, transitions=policy
         )
         tables.walk(State(0, 0), 20_000, RandomSource(4))
-        assert calls[0] == tables.num_transitions
-        assert not tables._class_rows
+        assert calls[0] == sum(len(rows[0]) for rows in tables._class_rows.values())
+        assert calls[0] < tables.num_transitions
+        matrix = tables.reward_matrix()
+        schedule = EthereumByzantiumSchedule()
+        for index in range(tables.num_transitions):
+            record = transition_rewards(tables.transition_at(index), params, schedule)
+            assert tuple(matrix[index]) == record.component_vector()
+            assert tables._distance_rows[index] == record.distance_contributions()
 
 
 class TestWalk:
