@@ -1,4 +1,4 @@
-"""Ablation benchmarks: design choices called out in DESIGN.md.
+"""Ablation benchmarks: two modelling choices of the analytical reproduction.
 
 Two ablations accompany the reproduction:
 

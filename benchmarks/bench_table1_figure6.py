@@ -1,7 +1,8 @@
 """Benchmark + reproduction of the descriptive artifacts: Table I and Figure 6.
 
-These are cheap but kept in the harness so that ``pytest benchmarks/ --benchmark-only``
-regenerates every table and figure of the paper in one command.
+These are cheap static tables, kept in the harness so that ``pytest benchmarks/
+--benchmark-only`` prints them; the computed artifacts are timed end to end by
+``perfbench`` and their numbers checked by the tier-1 suite.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Reporting helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures (or times one of the
-underlying engines).  The drivers return result objects with a ``report()`` method;
-:func:`emit_report` prints them with a banner so that the benchmark log doubles as the
-reproduction record quoted in EXPERIMENTS.md.
+Some benchmarks regenerate a descriptive table or an ablation as they time it.  They
+render it as text; :func:`emit_report` prints it with a banner so that it stands out
+in the benchmark log.
 """
 
 from __future__ import annotations

@@ -5,11 +5,9 @@ The driver invokes the pytest-benchmark suite (engines, network, MDP solver,
 sweep-engine, resilient-dispatcher and store files by default), extracts
 per-benchmark timings, derives blocks-per-second figures for the simulator
 benchmarks and entries-per-second figures for the store benchmarks, and
-writes everything to ``BENCH_PR10.json`` at the repository root so the
-performance trajectory is tracked in-repo (``BENCH_PR2.json``,
-``BENCH_PR5.json``, ``BENCH_PR6.json``, ``BENCH_PR7.json`` and
-``BENCH_PR9.json`` hold the earlier-era records; ``--history`` renders the
-whole trajectory as one table).
+writes everything to ``.benchmarks/run_benchmarks.json`` (ignored by git).
+The record describes one tree; to measure a change against its parent, run
+``benchmarks/ab.py``, which compares both in the same session.
 
 The record pairs the resilient-dispatcher benchmarks with their pre-PR 7
 replicas (a bare ``ProcessPoolExecutor.map`` and a plain serial loop) into
@@ -22,22 +20,19 @@ the claim -> put -> release write cycle of the single sqlite store.
 Every record is stamped with its provenance — the git commit it measured, the
 interpreter and machine it ran on, and the contents of the four component
 registries (simulator backends, mining strategies, latency models, schedule
-specs) — so a historical JSON answers "what exactly was benchmarked" without
-archaeology.
+specs) — so a record answers "what exactly was benchmarked" without archaeology.
 
 Usage::
 
     python benchmarks/run_benchmarks.py                  # full default suite
     python benchmarks/run_benchmarks.py --smoke --check  # CI: tiny sizes + assert
     python benchmarks/run_benchmarks.py --select benchmarks  # every bench file
-    python benchmarks/run_benchmarks.py --history        # table across eras
 
 ``--smoke`` shrinks the simulated block counts (via ``REPRO_BENCH_SCALE``) and runs
-single rounds so the whole suite finishes in seconds.  ``--check`` asserts that the
-network simulator's zero-latency fast path beats the general event loop on the
-same workload, that the resilient dispatcher stays near a bare pool.map, and —
-at full scale only — that the simulator benchmarks beat the timings recorded in
-``BENCH_PR9.json``.
+single rounds so the whole suite finishes in seconds.  ``--check`` asserts two
+comparisons made within the same run: the network simulator's zero-latency fast
+path beats the general event loop on the same workload, and the resilient
+dispatcher stays near a bare pool.map.
 
 Records made from a dirty working tree are marked as such and loudly warned
 about; ``--require-clean`` (used by CI for published artifacts) refuses to
@@ -58,7 +53,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_PR10.json"
+DEFAULT_OUTPUT = REPO_ROOT / ".benchmarks" / "run_benchmarks.json"
 #: Default pytest selection: the engine suite plus the network-backend, MDP
 #: solver, sweep-engine, resilient-dispatcher and store suites
 #: (whitespace-separated; each token is passed to pytest as its own argument).
@@ -67,97 +62,8 @@ DEFAULT_SELECT = (
     "benchmarks/bench_sweep.py benchmarks/bench_resilient.py benchmarks/bench_store.py"
 )
 
-#: Full-scale timings measured immediately before the PR 2 optimisations landed
-#: (same machine as the committed BENCH_PR2.json), so the recorded JSON carries
-#: the speedup next to the absolute numbers.  Only meaningful at scale 1.0.
-PRE_PR2_BASELINES_S = {
-    "test_markov_monte_carlo_benchmark": 0.812,
-    "test_chain_simulator_benchmark": 0.534,
-    "test_stationary_solve_benchmark[60]": 0.101,
-    "test_stationary_solve_benchmark[200]": 45.9,
-}
-
-#: Full-scale timings from the committed ``BENCH_PR5.json`` (the record made
-#: immediately before the PR 6 batched event core landed), so the network
-#: benchmarks carry their speedup over the previous event core next to the
-#: absolute numbers.  The zero-latency and miner-scaling benchmarks are new in
-#: PR 6; the 9-miner workloads compare against the single-pool baseline, which
-#: was the closest pre-existing measurement of the same topology.  Only
-#: meaningful at scale 1.0.
-PR5_BASELINES_S = {
-    "test_network_single_pool_benchmark": 0.764,
-    "test_network_two_pool_benchmark": 0.7725,
-    "test_network_miner_scaling_benchmark[9]": 0.764,
-    "test_network_zero_latency_fast_path_benchmark": 0.764,
-    "test_network_zero_latency_event_loop_benchmark": 0.764,
-    "test_chain_simulator_benchmark": 0.4357,
-    "test_markov_monte_carlo_benchmark": 0.0192,
-}
-
-#: Full-scale timings from the committed ``BENCH_PR6.json`` (the record made
-#: immediately before the PR 7 resilient dispatcher landed), so the sweep and
-#: simulator benchmarks carry their position relative to the previous era next
-#: to the absolute numbers.  The sweep benchmarks are the ones the dispatcher
-#: rewrite actually touches; the two engine benchmarks are carried as control
-#: measurements (the engines themselves did not change in PR 7).  Only
-#: meaningful at scale 1.0.
-PR6_BASELINES_S = {
-    "test_sweep_cold_cache_benchmark": 0.1353,
-    "test_sweep_warm_cache_benchmark": 0.0039,
-    "test_markov_monte_carlo_benchmark": 0.0220,
-    "test_chain_simulator_benchmark": 0.3547,
-}
-
 #: Pairs of (measured benchmark, its no-machinery replica) whose mean ratio is
-#: recorded as a named overhead field on the *measured* record.  This is the
-#: PR 7 "dispatcher overhead vs old pool.map" number.
-#: Full-scale timings from the committed ``BENCH_PR7.json`` (the record made
-#: immediately before the PR 9 store-compaction tier landed), so the store and
-#: sweep benchmarks carry their position relative to the previous era next to
-#: the absolute numbers.  The warm-sweep benchmark is the one the batched pack
-#: read path actually touches; the engine benchmarks are carried as control
-#: measurements.  Only meaningful at scale 1.0.
-PR7_BASELINES_S = {
-    "test_sweep_cold_cache_benchmark": 0.1214,
-    "test_sweep_warm_cache_benchmark": 0.0042,
-    "test_markov_monte_carlo_benchmark": 0.0229,
-    "test_chain_simulator_benchmark": 0.4064,
-    "test_resilient_pool_dispatch_benchmark": 0.1157,
-    "test_resilient_serial_dispatch_benchmark": 0.0456,
-}
-
-#: Full-scale timings from the committed ``BENCH_PR9.json`` (the record made
-#: immediately before the PR 10 flat array-backed chain core landed), so the
-#: simulator benchmarks carry their speedup over the object-tree era next to
-#: the absolute numbers.  These are the benchmarks whose hot paths sit on the
-#: block tree; the Markov walk is carried as a control measurement (PR 10 did
-#: not touch it).  Only meaningful at scale 1.0.
-PR9_BASELINES_S = {
-    "test_chain_simulator_benchmark": 0.3314,
-    "test_network_single_pool_benchmark": 0.4933,
-    "test_network_two_pool_benchmark": 0.4364,
-    "test_network_miner_scaling_benchmark[3]": 0.2997,
-    "test_network_miner_scaling_benchmark[9]": 0.5764,
-    "test_network_miner_scaling_benchmark[27]": 0.9888,
-    "test_network_zero_latency_fast_path_benchmark": 0.2959,
-    "test_network_zero_latency_event_loop_benchmark": 0.5453,
-    "test_markov_monte_carlo_benchmark": 0.0208,
-}
-
-#: The ``--check`` floor for the PR 10 chain core at full scale: each entry is
-#: the minimum speedup over ``PR9_BASELINES_S`` the current tree must sustain.
-#: The floors are deliberately below the recorded speedups — single-round
-#: benchmarks on shared machines jitter by 2x and more, and the point of the
-#: gate is catching a reverted optimisation, not pinning scheduler noise.
-PR9_CHECK_FLOORS = {
-    "test_chain_simulator_benchmark": 1.25,
-    "test_network_zero_latency_fast_path_benchmark": 1.25,
-    "test_network_single_pool_benchmark": 1.0,
-    "test_network_two_pool_benchmark": 1.0,
-    "test_network_miner_scaling_benchmark[9]": 1.0,
-    "test_network_zero_latency_event_loop_benchmark": 1.0,
-}
-
+#: recorded as a named overhead field on the *measured* record.
 OVERHEAD_PAIRS = (
     (
         "test_resilient_pool_dispatch_benchmark",
@@ -260,7 +166,7 @@ def run_suite(select: str, scale: float) -> dict:
         return json.loads(payload_path.read_text())
 
 
-def summarise(payload: dict, scale: float) -> list[dict]:
+def summarise(payload: dict) -> list[dict]:
     """Flatten pytest-benchmark's payload into one record per benchmark."""
     records = []
     for bench in payload.get("benchmarks", []):
@@ -289,27 +195,6 @@ def summarise(payload: dict, scale: float) -> list[dict]:
         parent_cpu_s = bench.get("extra_info", {}).get("parent_cpu_s")
         if parent_cpu_s is not None:
             record["parent_cpu_s"] = parent_cpu_s
-        if scale == 1.0:
-            baseline = PRE_PR2_BASELINES_S.get(bench["name"])
-            if baseline is not None:
-                record["pre_pr2_baseline_s"] = baseline
-                record["speedup_vs_pre_pr2"] = baseline / stats["mean"]
-            pr5_baseline = PR5_BASELINES_S.get(bench["name"])
-            if pr5_baseline is not None:
-                record["pr5_baseline_s"] = pr5_baseline
-                record["speedup_vs_pr5"] = pr5_baseline / stats["mean"]
-            pr6_baseline = PR6_BASELINES_S.get(bench["name"])
-            if pr6_baseline is not None:
-                record["pr6_baseline_s"] = pr6_baseline
-                record["speedup_vs_pr6"] = pr6_baseline / stats["mean"]
-            pr7_baseline = PR7_BASELINES_S.get(bench["name"])
-            if pr7_baseline is not None:
-                record["pr7_baseline_s"] = pr7_baseline
-                record["speedup_vs_pr7"] = pr7_baseline / stats["mean"]
-            pr9_baseline = PR9_BASELINES_S.get(bench["name"])
-            if pr9_baseline is not None:
-                record["pr9_baseline_s"] = pr9_baseline
-                record["speedup_vs_pr9"] = pr9_baseline / stats["mean"]
         records.append(record)
     attach_overhead_ratios(records)
     return records
@@ -381,92 +266,6 @@ def check_dispatcher_overhead(records: list[dict]) -> None:
         )
 
 
-def check_simulators_beat_pr9(records: list[dict], scale: float) -> None:
-    """Assert the simulator benchmarks beat the recorded PR 9 era (full scale).
-
-    Compares against the committed ``BENCH_PR9.json`` timings with the floors
-    of ``PR9_CHECK_FLOORS``; recorded baselines are only comparable at scale
-    1.0, so smoke runs skip this gate.
-    """
-    if scale != 1.0:
-        print("check skipped: PR 9 baselines only apply at full scale")
-        return
-    by_name = {record["name"]: record for record in records}
-    failures = []
-    summaries = []
-    for name, floor in PR9_CHECK_FLOORS.items():
-        record = by_name.get(name)
-        if record is None:
-            raise SystemExit(f"--check needs {name} in the selection")
-        speedup = PR9_BASELINES_S[name] / record["mean_s"]
-        summaries.append(f"{name} {speedup:.2f}x (floor {floor:.2f}x)")
-        if speedup < floor:
-            failures.append(
-                f"{name}: {record['mean_s']:.4f}s is only {speedup:.2f}x the "
-                f"PR 9 baseline {PR9_BASELINES_S[name]:.4f}s (floor {floor:.2f}x)"
-            )
-    if failures:
-        raise SystemExit("simulators regressed against the PR 9 era:\n  " + "\n  ".join(failures))
-    print("check OK: simulators beat the PR 9 era: " + ", ".join(summaries))
-
-
-def load_history() -> list[tuple[int, dict]]:
-    """The committed ``BENCH_PR*.json`` records, oldest era first."""
-    eras = []
-    for path in REPO_ROOT.glob("BENCH_PR*.json"):
-        try:
-            number = int(path.stem.removeprefix("BENCH_PR"))
-        except ValueError:
-            continue
-        try:
-            eras.append((number, json.loads(path.read_text())))
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"skipping unreadable {path.name}: {error}", file=sys.stderr)
-    eras.sort(key=lambda era: era[0])
-    return eras
-
-
-def print_history() -> None:
-    """Render every committed benchmark record as one benchmark-by-era table."""
-    eras = load_history()
-    if not eras:
-        raise SystemExit("no BENCH_PR*.json records found at the repository root")
-    columns = [f"PR{number}" for number, _ in eras]
-    # Row order: first era each benchmark appeared in, then name.
-    rows: dict[str, dict[str, dict]] = {}
-    for (number, document), column in zip(eras, columns):
-        for record in document.get("benchmarks", []):
-            rows.setdefault(record["name"], {})[column] = record
-
-    def cell(record: dict | None) -> str:
-        if record is None:
-            return "-"
-        if "blocks_per_sec" in record:
-            return f"{record['blocks_per_sec']:,.0f} b/s"
-        if "entries_per_sec" in record:
-            return f"{record['entries_per_sec']:,.0f} e/s"
-        return f"{record['mean_s'] * 1e3:.1f} ms"
-
-    table = [["benchmark", *columns]]
-    for name, by_column in rows.items():
-        table.append([name, *[cell(by_column.get(column)) for column in columns]])
-    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    for index, row in enumerate(table):
-        line = "  ".join(
-            field.ljust(widths[i]) if i == 0 else field.rjust(widths[i])
-            for i, field in enumerate(row)
-        )
-        print(line)
-        if index == 0:
-            print("  ".join("-" * width for width in widths))
-    for (_, document), column in zip(eras, columns):
-        git = document.get("git", {})
-        sha = (git.get("sha") or "unknown")[:12]
-        dirty = " (dirty tree)" if git.get("dirty") else ""
-        scale = document.get("scale", "?")
-        print(f"{column}: {sha}{dirty}, scale {scale}, {document.get('created_at', '?')}")
-
-
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT, help="JSON output path")
@@ -480,9 +279,8 @@ def main(argv: list[str] | None = None) -> None:
         "--check",
         action="store_true",
         help=(
-            "assert the zero-latency fast path beats the general event loop, "
-            "the resilient dispatcher stays near a bare pool.map, and (at full "
-            "scale) the simulators beat the timings recorded in BENCH_PR9.json"
+            "assert the zero-latency fast path beats the general event loop and "
+            "the resilient dispatcher stays near a bare pool.map"
         ),
     )
     parser.add_argument(
@@ -490,16 +288,7 @@ def main(argv: list[str] | None = None) -> None:
         action="store_true",
         help="refuse to run (and to write an artifact) from a dirty working tree",
     )
-    parser.add_argument(
-        "--history",
-        action="store_true",
-        help="print a benchmark-by-era table of the committed BENCH_PR*.json records and exit",
-    )
     args = parser.parse_args(argv)
-
-    if args.history:
-        print_history()
-        return
 
     revision = git_revision()
     if revision["dirty"]:
@@ -516,7 +305,7 @@ def main(argv: list[str] | None = None) -> None:
 
     scale = SMOKE_SCALE if args.smoke else 1.0
     payload = run_suite(args.select, scale)
-    records = summarise(payload, scale)
+    records = summarise(payload)
     document = {
         "schema": 2,
         "created_by": "benchmarks/run_benchmarks.py",
@@ -531,6 +320,7 @@ def main(argv: list[str] | None = None) -> None:
         "smoke": args.smoke,
         "benchmarks": records,
     }
+    args.output.parent.mkdir(parents=True, exist_ok=True)
     args.output.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
     print(f"wrote {args.output} ({len(records)} benchmarks)")
     for record in records:
@@ -544,7 +334,6 @@ def main(argv: list[str] | None = None) -> None:
     if args.check:
         check_fast_path_beats_event_loop(records)
         check_dispatcher_overhead(records)
-        check_simulators_beat_pr9(records, scale)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,10 @@
 Every driver follows the same pattern: a ``run_*`` function evaluates the analytical
 model (and, where the paper does, the simulator) over the grid the paper used and
 returns a result dataclass with a ``report()`` method that renders the same rows or
-series the paper presents.  The benchmark harness under ``benchmarks/`` simply times
-and prints these drivers, and EXPERIMENTS.md records their output next to the paper's
-numbers.
+series the paper presents.  The ``repro-experiments`` CLI prints these reports.
 
 Fidelity knobs: every driver accepts a ``fast`` flag (coarser grids, shorter
-simulations) so that the full suite can be exercised quickly in CI; the defaults used
-by the benchmarks correspond to the numbers recorded in EXPERIMENTS.md.
+simulations) so that the full suite can be exercised quickly in CI.
 """
 
 from .discussion import DiscussionResult, run_discussion

@@ -16,7 +16,6 @@ broadcast.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -34,13 +33,6 @@ from ..strategies import MiningStrategy, available_strategies, make_strategy
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from ..network.latency import LatencyModel
     from ..network.topology import Topology
-
-#: Message of the deprecation warning emitted when the legacy ``selfish`` flag is
-#: used (tests pin it; keep the first words stable for warning filters).
-SELFISH_FLAG_DEPRECATION = (
-    "the 'selfish' flag of SimulationConfig is deprecated; "
-    "select the pool behaviour with strategy='selfish' / strategy='honest' instead"
-)
 
 
 @dataclass(frozen=True)
@@ -63,13 +55,7 @@ class SimulationConfig:
         aggregate honest behaviour is identical for any value).
     strategy:
         Name of the pool's mining strategy (see :func:`repro.strategies.available_strategies`).
-        ``None`` defers to the deprecated ``selfish`` flag (default: selfish).
-    selfish:
-        Deprecated alias kept for backwards compatibility: ``selfish=False`` is
-        shorthand for ``strategy="honest"``, ``selfish=True`` for
-        ``strategy="selfish"``.  Setting it emits a :class:`DeprecationWarning`;
-        an explicit ``strategy`` wins, and combining ``selfish=False`` with a
-        non-honest ``strategy`` is rejected.
+        ``None`` means the paper's Algorithm 1, ``"selfish"``.
     topology:
         Explicit network topology for the ``network`` backend (``None`` derives the
         paper's single-pool setting from ``params`` and ``strategy``).
@@ -93,7 +79,6 @@ class SimulationConfig:
     seed: int = 0
     num_honest_miners: int = PAPER_NUM_MINERS - 1
     strategy: str | None = None
-    selfish: bool | None = None
     topology: "Topology | None" = None
     latency: "LatencyModel | str | None" = None
     max_uncles_per_block: int = MAX_UNCLES_PER_BLOCK
@@ -114,21 +99,11 @@ class SimulationConfig:
             raise ParameterError("warmup_blocks must be non-negative")
         if self.warmup_blocks >= self.num_blocks:
             raise ParameterError("warmup_blocks must be smaller than num_blocks")
-        if self.strategy is not None:
-            if self.strategy not in available_strategies():
-                raise ParameterError(
-                    f"unknown mining strategy {self.strategy!r}; "
-                    f"available: {', '.join(available_strategies())}"
-                )
-            if self.selfish is not None and not self.selfish and self.strategy != "honest":
-                raise ParameterError(
-                    f"selfish=False conflicts with strategy={self.strategy!r}; "
-                    "drop the deprecated selfish flag when selecting a strategy"
-                )
-        # Warn only after validation so the both-set error keeps precedence even
-        # when DeprecationWarning is escalated to an error (-W error::DeprecationWarning).
-        if self.selfish is not None:
-            warnings.warn(SELFISH_FLAG_DEPRECATION, DeprecationWarning, stacklevel=3)
+        if self.strategy is not None and self.strategy not in available_strategies():
+            raise ParameterError(
+                f"unknown mining strategy {self.strategy!r}; "
+                f"available: {', '.join(available_strategies())}"
+            )
         if self.topology is not None:
             from ..network.topology import Topology
 
@@ -143,12 +118,8 @@ class SimulationConfig:
 
     @property
     def strategy_name(self) -> str:
-        """The resolved strategy name (``strategy`` field, falling back to ``selfish``)."""
-        if self.strategy is not None:
-            return self.strategy
-        if self.selfish is not None:
-            return "selfish" if self.selfish else "honest"
-        return "selfish"
+        """The resolved strategy name (``strategy`` field, ``"selfish"`` when unset)."""
+        return "selfish" if self.strategy is None else self.strategy
 
     def make_strategy(self) -> MiningStrategy:
         """Instantiate the pool's mining strategy for this configuration.
@@ -159,31 +130,21 @@ class SimulationConfig:
         """
         return make_strategy(self.strategy_name, config=self)
 
-    def _replace_resolved(self, **changes: object) -> "SimulationConfig":
-        """``dataclasses.replace`` with the legacy ``selfish`` flag resolved away.
-
-        The derived copies carry the resolved ``strategy`` name and ``selfish=None``
-        so that copying a legacy configuration does not re-emit the deprecation
-        warning on every derived run.
-        """
-        changes.setdefault("strategy", self.strategy_name)
-        return replace(self, selfish=None, **changes)
-
     def with_strategy(self, strategy: str) -> "SimulationConfig":
         """A copy of this configuration running a different mining strategy."""
-        return self._replace_resolved(strategy=strategy)
+        return replace(self, strategy=strategy)
 
     def with_seed(self, seed: int) -> "SimulationConfig":
         """A copy of this configuration with a different seed (used by the runner)."""
-        return self._replace_resolved(seed=seed)
+        return replace(self, seed=seed)
 
     def with_params(self, params: MiningParams) -> "SimulationConfig":
         """A copy of this configuration at a different ``(alpha, gamma)`` point."""
-        return self._replace_resolved(params=params)
+        return replace(self, params=params)
 
     def with_topology(self, topology: "Topology") -> "SimulationConfig":
         """A copy of this configuration running on an explicit network topology."""
-        return self._replace_resolved(topology=topology)
+        return replace(self, topology=topology)
 
     def describe(self) -> str:
         """One-line human-readable summary."""

@@ -1,8 +1,9 @@
 """Integration: the paper's headline numbers, reproduced end to end.
 
-Each test pins one number the paper states explicitly.  Tolerances reflect that our
-state-space truncation and threshold bisection differ slightly from the authors'
-(reported agreement is recorded, with the measured values, in EXPERIMENTS.md).
+Each test pins one number or shape the paper states explicitly.  Tolerances reflect
+that our state-space truncation and threshold bisection differ slightly from the
+authors'.  The artifact classes run each figure/table driver once at the fidelity
+the paper's figures need (a few seconds in all) and pin the figure's shape.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ from repro.analysis.bitcoin import bitcoin_threshold
 from repro.analysis.revenue import RevenueModel
 from repro.analysis.threshold import profitable_threshold
 from repro.analysis.uncle_distance import distribution_from_rates
+from repro.experiments.figure8 import run_figure8
+from repro.experiments.figure9 import run_figure9
+from repro.experiments.figure10 import run_figure10
+from repro.experiments.table2 import run_table2
 from repro.params import MiningParams
 from repro.rewards.schedule import EthereumByzantiumSchedule, FlatUncleSchedule
+from repro.utils.grids import inclusive_range
+
+#: Table II as the paper prints it: honest uncle distance -> probability.
+PAPER_TABLE2_ALPHA_030 = {1: 0.527, 2: 0.295, 3: 0.111, 4: 0.043, 5: 0.017, 6: 0.007}
+PAPER_TABLE2_ALPHA_045 = {1: 0.284, 2: 0.249, 3: 0.171, 4: 0.125, 5: 0.096, 6: 0.075}
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +59,7 @@ class TestSection5Numbers:
 
         The figure's flat schedules pay the reward "regardless of the distance", i.e.
         without the 6-block inclusion window, so the unlimited-window variant is used
-        here (with the window the peak is ~1.27; both readings are recorded in
-        EXPERIMENTS.md).
+        here (with the window the peak is ~1.27).
         """
         model = RevenueModel(FlatUncleSchedule(7 / 8, max_uncle_distance=10**6), max_lead=60)
         rates = model.revenue_rates(MiningParams(alpha=0.45, gamma=0.5))
@@ -91,6 +100,7 @@ class TestSection6Numbers:
         proposed = profitable_threshold(0.5, scenario=Scenario.REGULAR_ONLY, model=flat_threshold_model)
         assert current.alpha_star == pytest.approx(0.054, abs=0.005)
         assert proposed.alpha_star == pytest.approx(0.163, abs=0.005)
+        assert proposed.alpha_star - current.alpha_star > 0.10
 
     def test_scenario2_thresholds_0270_to_0356(self, ethereum_threshold_model, flat_threshold_model):
         current = profitable_threshold(
@@ -101,18 +111,103 @@ class TestSection6Numbers:
         )
         assert current.alpha_star == pytest.approx(0.270, abs=0.01)
         assert proposed.alpha_star == pytest.approx(0.356, abs=0.01)
+        assert proposed.alpha_star - current.alpha_star > 0.07
 
     def test_table2_distributions(self):
         model = RevenueModel(max_lead=40)
         column_030 = distribution_from_rates(model.revenue_rates(MiningParams(alpha=0.3, gamma=0.5)))
         column_045 = distribution_from_rates(model.revenue_rates(MiningParams(alpha=0.45, gamma=0.5)))
-        paper_030 = {1: 0.527, 2: 0.295, 3: 0.111, 4: 0.043, 5: 0.017, 6: 0.007}
-        paper_045 = {1: 0.284, 2: 0.249, 3: 0.171, 4: 0.125, 5: 0.096, 6: 0.075}
         for distance in range(1, 7):
-            assert column_030.probability(distance) == pytest.approx(paper_030[distance], abs=0.005)
-            assert column_045.probability(distance) == pytest.approx(paper_045[distance], abs=0.005)
+            assert column_030.probability(distance) == pytest.approx(
+                PAPER_TABLE2_ALPHA_030[distance], abs=0.005
+            )
+            assert column_045.probability(distance) == pytest.approx(
+                PAPER_TABLE2_ALPHA_045[distance], abs=0.005
+            )
         assert column_030.expectation == pytest.approx(1.75, abs=0.01)
         assert column_045.expectation == pytest.approx(2.72, abs=0.01)
 
     def test_eyal_sirer_bitcoin_threshold_at_gamma_half_is_a_quarter(self):
         assert bitcoin_threshold(0.5) == pytest.approx(0.25)
+
+
+class TestFigure8Artifact:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_figure8(
+            include_simulation=True, simulation_blocks=20_000, simulation_runs=1, max_lead=60
+        )
+
+    def test_pool_curve_crosses_honest_mining_between_015_and_020(self, result):
+        crossover = result.crossover_alpha()
+        assert crossover is not None
+        assert 0.15 <= crossover <= 0.20
+
+    def test_pool_revenue_rises_and_honest_revenue_falls_with_alpha(self, result):
+        assert result.analysis.pool_absolute == sorted(result.analysis.pool_absolute)
+        honest = result.analysis.honest_absolute
+        assert honest == sorted(honest, reverse=True)
+
+    def test_simulation_overlay_tracks_the_analysis(self, result):
+        simulated = result.simulation.pool_absolute_scenario1()
+        for point, value in zip(result.analysis.points, simulated):
+            assert abs(value - point.pool_absolute) < 0.03
+
+
+class TestFigure9Artifact:
+    @pytest.fixture(scope="class")
+    def final_points(self):
+        result = run_figure9(max_lead=60)
+        final = len(result.alphas) - 1
+        return {label: sweep.points[final] for label, sweep in result.sweeps.items()}
+
+    def test_larger_uncle_rewards_pay_everyone_more(self, final_points):
+        small, medium, large = (final_points[f"Ku={k}/8"] for k in (2, 4, 7))
+        assert small.pool_absolute < medium.pool_absolute < large.pool_absolute
+        assert small.honest_absolute < medium.honest_absolute < large.honest_absolute
+
+    def test_ethereum_schedule_pays_like_flat_rules(self, final_points):
+        ethereum = final_points["Ku(.)"]
+        medium, large = final_points["Ku=4/8"], final_points["Ku=7/8"]
+        # The pool's uncles always sit at distance 1, so Ku(.) pays it like 7/8.
+        assert abs(ethereum.pool_absolute - large.pool_absolute) < 0.02
+        # Honest miners' uncles sit further away: between the flat 4/8 and 7/8.
+        assert (
+            medium.honest_absolute - 0.02
+            <= ethereum.honest_absolute
+            <= large.honest_absolute + 0.02
+        )
+
+
+class TestFigure10Artifact:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_figure10(gammas=inclusive_range(0.0, 1.0, 0.1), max_lead=40)
+
+    def test_every_curve_falls_with_gamma_and_vanishes_at_one(self, result):
+        for series in (
+            result.bitcoin_thresholds(),
+            result.scenario1_thresholds(),
+            result.scenario2_thresholds(),
+        ):
+            assert all(later <= earlier + 1e-6 for earlier, later in zip(series, series[1:]))
+            assert series[-1] < 0.01
+
+    def test_scenario2_crosses_above_bitcoin_between_030_and_050(self, result):
+        crossover = result.scenario2_crossover_gamma()
+        assert crossover is not None
+        assert 0.3 <= crossover <= 0.5
+
+    def test_scenario1_starts_well_below_bitcoin_at_gamma_zero(self, result):
+        assert result.scenario1_thresholds()[0] < 0.15
+
+
+class TestTable2Artifact:
+    def test_simulated_column_tracks_the_paper(self):
+        result = run_table2(
+            include_simulation=True, simulation_blocks=30_000, simulation_runs=1, max_lead=60
+        )
+        simulated = result.columns[0].simulated
+        assert simulated is not None
+        for distance, expected in PAPER_TABLE2_ALPHA_030.items():
+            assert simulated.get(distance, 0.0) == pytest.approx(expected, abs=0.05)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import ParameterError
@@ -19,7 +17,6 @@ class TestDefaults:
         config = SimulationConfig(params=PARAMS)
         assert config.num_blocks == 100_000
         assert config.num_honest_miners == 999
-        assert config.selfish is None
         assert config.strategy_name == "selfish"
         assert config.max_uncles_per_block == 2
         assert config.max_uncle_distance == 6
@@ -54,41 +51,9 @@ class TestValidation:
         with pytest.raises(ParameterError):
             SimulationConfig(params=PARAMS, warmup_blocks=-1)
 
-
-class TestDeprecatedSelfishFlag:
-    def test_setting_the_flag_emits_a_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
+    def test_the_removed_selfish_flag_is_not_a_field(self):
+        with pytest.raises(TypeError, match="selfish"):
             SimulationConfig(params=PARAMS, selfish=True)
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
-            SimulationConfig(params=PARAMS, selfish=False)
-
-    def test_not_setting_the_flag_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            SimulationConfig(params=PARAMS)
-            SimulationConfig(params=PARAMS, strategy="honest")
-
-    def test_use_raises_under_W_error_DeprecationWarning(self):
-        """The `-W error::DeprecationWarning` contract: legacy use becomes an error."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning, match="'selfish' flag"):
-                SimulationConfig(params=PARAMS, selfish=True)
-
-    def test_both_set_error_keeps_precedence_over_the_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(ParameterError, match="conflicts"):
-                SimulationConfig(params=PARAMS, selfish=False, strategy="selfish")
-
-    def test_derived_copies_resolve_the_flag_and_stay_silent(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = SimulationConfig(params=PARAMS, selfish=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            derived = legacy.with_seed(9)
-        assert derived.selfish is None
-        assert derived.strategy_name == "honest"
 
 
 class TestCopies:

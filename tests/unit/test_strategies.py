@@ -202,21 +202,10 @@ class TestConfigIntegration:
         assert config.strategy_name == "lead_stubborn"
         assert isinstance(config.make_strategy(), LeadStubbornStrategy)
 
-    def test_selfish_flag_remains_a_working_alias(self):
-        assert SimulationConfig(params=PARAMS).strategy_name == "selfish"
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
-            assert SimulationConfig(params=PARAMS, selfish=False).strategy_name == "honest"
-        with pytest.warns(DeprecationWarning, match="'selfish' flag"):
-            assert SimulationConfig(params=PARAMS, selfish=True).strategy_name == "selfish"
-
     def test_explicit_strategy_wins_over_default_flag(self):
         config = SimulationConfig(params=PARAMS, strategy="honest")
         assert config.strategy_name == "honest"
         assert isinstance(config.make_strategy(), HonestStrategy)
-
-    def test_conflicting_flag_and_strategy_rejected(self):
-        with pytest.raises(ParameterError, match="conflicts"):
-            SimulationConfig(params=PARAMS, selfish=False, strategy="selfish")
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ParameterError, match="unknown mining strategy"):
