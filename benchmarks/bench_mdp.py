@@ -5,13 +5,13 @@ The solver works on the analytical model's lumped ``(lead, forked)`` space
 compiling the model, a full solve at the strategy default lead cap
 (``max_lead=60``, what every ``strategy="optimal"`` simulation pays once per
 process and parameter point) and at ``max_lead=200`` (the largest cap the
-``optimal`` experiment driver is asked for in practice), one converged relative
-value iteration, and the exact evaluation of one policy — the MDP side of
+``optimal`` experiment driver is asked for in practice), one bias solve of
+policy iteration, and the exact evaluation of one policy — the MDP side of
 ``test_revenue_evaluation_benchmark`` in ``bench_engines.py``, which makes the
 same banded solve and reward fold.  The solve is run uncached
 (:class:`~repro.mdp.solver.MdpSolver` directly) so the numbers measure model
-compilation plus relative value iteration plus the exact Dinkelbach
-evaluations, not the cache.
+compilation plus the policy-iteration rounds (exact evaluation, bias solve,
+improvement), not the cache.
 
 Sizes honour ``REPRO_BENCH_SCALE`` like the other benchmark files: the scale
 multiplies the lead cap (floor 12), which smoke runs use to finish in
@@ -55,7 +55,7 @@ def test_mdp_compile_benchmark(benchmark):
 
 
 def test_mdp_solve_default_truncation_benchmark(benchmark):
-    """Full solve at the strategy default lead cap (model build + RVI + evaluation)."""
+    """Full solve at the strategy default lead cap (model build + policy iteration)."""
     lead = scaled_lead(60)
     benchmark.extra_info["max_lead"] = lead
     result = benchmark.pedantic(_solve, args=(lead,), rounds=3, iterations=1)
@@ -70,21 +70,21 @@ def test_mdp_solve_paper_truncation_benchmark(benchmark):
     assert result.optimal_share >= PARAMS.alpha
 
 
-def test_mdp_improve_sweep_benchmark(benchmark):
-    """One converged relative-value-iteration call at the default lead cap.
+def test_mdp_bias_solve_benchmark(benchmark):
+    """One bias solve of Algorithm 1's policy at the default lead cap.
 
-    Separates the Bellman-sweep cost (a gather and two segmented reductions
-    per sweep) from model compilation and policy evaluation.
+    Separates policy iteration's linear solve (the policy's transitions
+    scattered into a dense system, then ``numpy.linalg.solve``) from model
+    compilation and policy evaluation.
     """
     lead = scaled_lead(60)
     benchmark.extra_info["max_lead"] = lead
     solver = MdpSolver(PARAMS, max_lead=lead)
-    rho = float(PARAMS.alpha)
-    policy, _, sweeps = benchmark.pedantic(
-        lambda: solver.improve(rho), rounds=1, iterations=1
-    )
-    assert sweeps >= 1
-    assert len(policy) == solver.model.num_states
+    policy = solver.model.selfish_policy()
+    share = solver.evaluate(policy).share
+    bias = benchmark(solver.bias, policy, share)
+    assert bias[0] == 0.0
+    assert len(bias) == solver.model.num_states
 
 
 def test_mdp_policy_evaluation_benchmark(benchmark):

@@ -313,9 +313,6 @@ def main(argv: list[str] | None = None) -> None:
         "git": revision,
         "machine_info": machine_info(),
         "registries": registry_contents(),
-        # Kept for schema-1 consumers.
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "scale": scale,
         "smoke": args.smoke,
         "benchmarks": records,

@@ -112,8 +112,8 @@ class OptimalFrontierResult:
         table = Table(
             headers=["alpha", "optimal", "selfish", "honest", "advantage", "policy"],
             title=(
-                f"Optimal-strategy frontier (gamma={gamma:g}, "
-                f"max_lead={self.max_lead})"
+                f"Best withhold/override policy on pool events, honest-event "
+                f"responses fixed to Algorithm 1 (gamma={gamma:g}, max_lead={self.max_lead})"
             ),
         )
         for alpha in self.alphas:

@@ -26,10 +26,12 @@ Map of the subsystem
 
 ``solver.py``
     The solve.  The objective is the pool's revenue *share*, a ratio of long-run
-    averages, so a Dinkelbach loop wraps relative value iteration: each inner RVI
-    maximises ``pool - rho * total`` and proposes a greedy policy, each outer step
-    evaluates that policy exactly with the analytical model's banded solve and
-    reward fold, and raises ``rho`` to the evaluated share.  Policies are encoded
+    averages, so the solve is policy iteration for ratio objectives: each round
+    evaluates the incumbent exactly with the analytical model's banded solve and
+    reward fold (its share is ``rho``), solves the incumbent's bias under the
+    reward ``pool - rho * total`` with one linear solve, and switches every state
+    whose best action beats the incumbent's by more than a tolerance; it stops
+    when nothing switches.  Policies are encoded
     for export as the sorted codes of the class representatives whose decision
     is ``OVERRIDE`` (``override_codes``) — the lookup table
     :class:`~repro.strategies.optimal.OptimalStrategy` consults: after mining a

@@ -51,7 +51,7 @@ lost by solving the lumped one, is checked by the test suite against a
 full-space solve.
 
 :class:`MdpModel` compiles every action's transitions into flat edge arrays,
-so a Bellman sweep is a gather and a segmented sum.
+so scoring every action against a value vector is a gather and a segmented sum.
 """
 
 from __future__ import annotations

@@ -1,28 +1,33 @@
-"""Relative value iteration over the mining MDP, driven by a Dinkelbach ratio loop.
+"""Exact policy iteration over the mining MDP for the pool's revenue share.
 
 The pool's objective is its *share* of all rewards — a ratio of two long-run
-averages — so the solve is the classic two-level scheme for ratio objectives
-(Dinkelbach's method, the approach of Sapirshtein et al. for Bitcoin):
+averages — so the solve is Howard's policy iteration for ratio objectives (the
+approach of Sapirshtein et al. for Bitcoin).  Each round of
+:meth:`MdpSolver.solve`:
 
-1. **Inner level** (:meth:`MdpSolver.improve`): for a candidate share ``rho`` run
-   relative value iteration on the auxiliary average-reward MDP with one-step
-   reward ``pool(s, a) - rho * total(s, a)``.  The optimal gain of that MDP is
-   positive exactly when some policy earns a share above ``rho``; the greedy
-   policy of the converged values is the improving policy.
-2. **Outer level** (:meth:`MdpSolver.solve`): evaluate the improving policy
-   *exactly*, with the call sequence of
+1. **Evaluate** the incumbent policy *exactly*, with the call sequence of
    :meth:`~repro.analysis.revenue.RevenueModel.revenue_rates`: one banded
    elimination (:func:`~repro.markov.stationary.banded_solve`) on the chosen
    edges' state indices, whose override jumps land in the anchored row, then the
    fold of their Appendix-B rows through
    :func:`~repro.analysis.revenue.stationary_rates`.  A policy pinned to the
    selfish decisions therefore reproduces the analytical model's
-   :class:`~repro.analysis.revenue.RevenueRates` bit for bit.  The evaluated
-   share becomes the next ``rho``.
+   :class:`~repro.analysis.revenue.RevenueRates` bit for bit.  Its share is
+   ``rho``.
+2. **Bias** (:meth:`MdpSolver.bias`): under the one-step reward
+   ``pool - rho * total`` the incumbent's gain is zero, so its bias ``h`` is the
+   expected reward collected until the chain first returns to ``(0, 0)``, where
+   ``h`` is pinned to 0 — one linear solve.
+3. **Improve** (:meth:`MdpSolver.policy_step`): every state whose best action
+   beats the incumbent's by more than :data:`DEFAULT_SHARE_TOLERANCE` switches to
+   its first best action; every other state, ties included, keeps its decision,
+   so the solved policy deviates from Algorithm 1 only where that strictly pays.
 
-The share sequence is non-decreasing and strictly increases until the optimal
-policy is found (policy-improvement monotonicity — pinned by the property suite),
-so the loop terminates after finitely many improvements; in practice two or three.
+The loop stops when no state switches, or when the switched policy's exact share
+does not rise by more than the tolerance (a rearrangement in states of
+negligible stationary mass).  Each accepted round strictly raises the share
+(pinned by the property suite), so the loop terminates after finitely many
+rounds; in practice one or two.
 
 Solved policies are cached per ``(alpha, gamma, max_lead, schedule)`` via
 :func:`solve_optimal_policy`, so repeated simulation runs (including process-pool
@@ -53,17 +58,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
 #: error of the extracted policy's value decays like ``(alpha / beta) ** max_lead``.
 DEFAULT_POLICY_MAX_LEAD = 60
 
-#: Default span tolerance of the relative-value-iteration sweeps.
-DEFAULT_RVI_TOLERANCE = 1e-10
-
-#: Default iteration budget of one relative-value-iteration solve.
-DEFAULT_RVI_MAX_ITERATIONS = 200_000
-
-#: Default share tolerance of the outer Dinkelbach loop.
+#: The margin by which a switched decision must beat the incumbent's action
+#: value, and a switched policy the incumbent's share, to be adopted.
 DEFAULT_SHARE_TOLERANCE = 1e-12
 
-#: Safety cap on outer improvements (each must strictly raise the share).
-DEFAULT_MAX_IMPROVEMENTS = 50
+#: Guard on policy-iteration rounds (each accepted one strictly raises the share).
+_MAX_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -99,10 +99,9 @@ class OptimalPolicyResult:
     revenue:
         Exact long-run rates of the optimal policy.
     shares:
-        The Dinkelbach share sequence, starting from Algorithm 1's share; it is
-        non-decreasing and its last entry is the optimal share.
-    rvi_iterations:
-        Total inner value-iteration sweeps spent across all improvements.
+        The share of each accepted policy-iteration round, starting from
+        Algorithm 1's; it strictly increases and its last entry is the optimal
+        share.
     """
 
     params: MiningParams
@@ -111,7 +110,6 @@ class OptimalPolicyResult:
     override_codes: tuple[int, ...]
     revenue: RevenueRates
     shares: tuple[float, ...]
-    rvi_iterations: int
 
     @property
     def optimal_share(self) -> float:
@@ -222,80 +220,55 @@ class MdpSolver:
             policy[index] = self.model.flat_index(index, decision)
         return self.evaluate(policy)
 
-    # ------------------------------------------------------------------ inner RVI
-    def improve(
-        self,
-        rho: float,
-        *,
-        values: np.ndarray | None = None,
-        tolerance: float = DEFAULT_RVI_TOLERANCE,
-        max_iterations: int = DEFAULT_RVI_MAX_ITERATIONS,
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Relative value iteration on the ``rho``-adjusted MDP.
+    # ------------------------------------------------------------------ policy iteration
+    def bias(self, policy: np.ndarray, share: float) -> np.ndarray:
+        """The bias of ``policy`` under the one-step reward ``pool - share * total``.
 
-        Returns ``(policy, values, iterations)``: the greedy policy of the
-        converged relative values (flat action index per state; ties keep the
-        first — withhold-preferring — action so the extracted policy deviates
-        from Algorithm 1 only where it strictly pays), the values themselves
-        (reusable as a warm start for the next ``rho``), and the sweep count.
+        At the policy's own exact ``share`` the gain is zero, so ``h(0, 0)`` is
+        pinned to 0 and ``h(s) - sum_t P(s, t) h(t) = r(s)`` is solved for every
+        other state: ``h(s)`` is the reward expected from ``s`` until the chain
+        first reaches ``(0, 0)``, which it does from every state.
         """
         model = self.model
-        rewards = model.pool_rewards - rho * model.total_rewards
-        starts = model.action_offsets[:-1]
-        h = np.zeros(model.num_states) if values is None else values.copy()
-        for iteration in range(1, max_iterations + 1):
-            q = rewards + model.expected_values(h)
-            best = np.maximum.reduceat(q, starts)
-            delta = best - h
-            span = float(delta.max() - delta.min())
-            # Subtract the reference state's value (state 0 is ``(0, 0)``) so the
-            # iterates stay bounded — the defining trick of *relative* VI.
-            h = best - best[0]
-            if span < tolerance:
-                q = rewards + model.expected_values(h)
-                return self._greedy(q), h, iteration
-        raise ConvergenceError(
-            f"relative value iteration did not reach span {tolerance:g} within "
-            f"{max_iterations} sweeps at rho={rho:.6f} ({model.describe()})"
-        )
+        chosen = model.policy_edges(policy)
+        system = np.eye(model.num_states)
+        np.subtract.at(system, (model.sources[chosen], model.targets[chosen]), model.rates[chosen])
+        rewards = model.pool_rewards[policy] - share * model.total_rewards[policy]
+        values = np.zeros(model.num_states)
+        values[1:] = np.linalg.solve(system[1:, 1:], rewards[1:])
+        return values
 
-    def _greedy(self, q: np.ndarray) -> np.ndarray:
-        """First-maximum greedy policy of the action values ``q`` (flat indices)."""
-        offsets = self.model.action_offsets
-        policy = np.empty(self.model.num_states, dtype=np.int64)
-        for index in range(self.model.num_states):
-            start, stop = int(offsets[index]), int(offsets[index + 1])
-            policy[index] = start + int(np.argmax(q[start:stop]))
-        return policy
+    def policy_step(self, policy: np.ndarray, share: float) -> np.ndarray:
+        """One improvement of ``policy``, whose exact share is ``share``.
 
-    # ------------------------------------------------------------------ outer loop
-    def solve(
-        self,
-        *,
-        share_tolerance: float = DEFAULT_SHARE_TOLERANCE,
-        max_improvements: int = DEFAULT_MAX_IMPROVEMENTS,
-        rvi_tolerance: float = DEFAULT_RVI_TOLERANCE,
-        rvi_max_iterations: int = DEFAULT_RVI_MAX_ITERATIONS,
-    ) -> OptimalPolicyResult:
-        """Run the Dinkelbach loop to the optimal policy and its exact value."""
+        Every action is scored with the incumbent's :meth:`bias`; a state switches
+        to its first best action only when that beats the incumbent's action by
+        more than :data:`DEFAULT_SHARE_TOLERANCE`, so exact ties keep the
+        incumbent's decision.
+        """
+        model = self.model
+        q = model.pool_rewards - share * model.total_rewards
+        q += model.expected_values(self.bias(policy, share))
+        offsets = model.action_offsets
+        best = np.maximum.reduceat(q, offsets[:-1])
+        improved = policy.copy()
+        for index in np.flatnonzero(best > q[policy] + DEFAULT_SHARE_TOLERANCE).tolist():
+            start, stop = offsets[index], offsets[index + 1]
+            improved[index] = start + int(np.argmax(q[start:stop]))
+        return improved
+
+    def solve(self) -> OptimalPolicyResult:
+        """Run policy iteration from Algorithm 1 to the optimal policy and its exact value."""
         model = self.model
         policy = model.selfish_policy()
         evaluation = self.evaluate(policy)
         shares = [evaluation.share]
-        values: np.ndarray | None = None
-        total_sweeps = 0
-        for _ in range(max_improvements):
-            improved, values, sweeps = self.improve(
-                shares[-1],
-                values=values,
-                tolerance=rvi_tolerance,
-                max_iterations=rvi_max_iterations,
-            )
-            total_sweeps += sweeps
+        for _ in range(_MAX_ROUNDS):
+            improved = self.policy_step(policy, shares[-1])
             if np.array_equal(improved, policy):
                 break
             improved_evaluation = self.evaluate(improved)
-            if improved_evaluation.share <= shares[-1] + share_tolerance:
+            if improved_evaluation.share <= shares[-1] + DEFAULT_SHARE_TOLERANCE:
                 # The candidate rearranges decisions without raising the share
                 # (ties in states of negligible stationary mass): keep the
                 # incumbent, which deviates less from Algorithm 1.
@@ -305,7 +278,7 @@ class MdpSolver:
             shares.append(evaluation.share)
         else:
             raise ConvergenceError(
-                f"policy improvement did not stabilise within {max_improvements} "
+                f"policy iteration did not stabilise within {_MAX_ROUNDS} "
                 f"rounds ({model.describe()}); last shares {shares[-3:]}"
             )
         decisions = tuple(model.decisions[flat] for flat in policy.tolist())
@@ -323,7 +296,6 @@ class MdpSolver:
             override_codes=override_codes,
             revenue=evaluation.rates,
             shares=tuple(shares),
-            rvi_iterations=total_sweeps,
         )
 
 
@@ -380,6 +352,12 @@ def _policy_store_key(params: MiningParams, schedule: RewardSchedule, max_lead: 
     )
 
 
+#: The top-level keys of a stored policy.
+_PAYLOAD_KEYS = frozenset(
+    {"alpha", "gamma", "max_lead", "decisions", "override_codes", "revenue", "shares"}
+)
+
+
 def _policy_payload(result: OptimalPolicyResult) -> dict:
     """Serialise a solved policy to a JSON-able dict (floats round-trip exactly)."""
     rates = result.revenue
@@ -408,17 +386,20 @@ def _policy_payload(result: OptimalPolicyResult) -> dict:
             "truncation_mass": rates.truncation_mass,
         },
         "shares": list(result.shares),
-        "rvi_iterations": result.rvi_iterations,
     }
 
 
 def _policy_from_payload(payload: dict) -> OptimalPolicyResult:
     """Rebuild a solved policy from its stored payload.
 
-    Raises :class:`ValueError` when the decision table does not have one entry
-    per :class:`~repro.markov.state.LumpedSpace` state, as a payload stored by a
-    solver on another state space does not.
+    Raises :class:`ValueError` when the payload's keys are not exactly the ones
+    :func:`_policy_payload` writes (a payload stored by the earlier
+    value-iteration solver also carries its sweep count), or when the decision
+    table does not have one entry per :class:`~repro.markov.state.LumpedSpace`
+    state, as a payload stored by a solver on another state space does not.
     """
+    if set(payload) != _PAYLOAD_KEYS:
+        raise ValueError(f"stored policy has keys {sorted(payload)}, not {sorted(_PAYLOAD_KEYS)}")
     if len(payload["decisions"]) != 2 * payload["max_lead"] + 1:
         raise ValueError(
             f"stored policy has {len(payload['decisions'])} decisions, not one per "
@@ -449,7 +430,6 @@ def _policy_from_payload(payload: dict) -> OptimalPolicyResult:
         override_codes=tuple(int(code) for code in payload["override_codes"]),
         revenue=rates,
         shares=tuple(payload["shares"]),
-        rvi_iterations=payload["rvi_iterations"],
     )
 
 

@@ -97,3 +97,25 @@ class TestFigure8Dominance:
         for alpha, policy, selfish in frontier:
             best_corner = max(selfish, alpha)
             assert policy.optimal_share == pytest.approx(best_corner, abs=1e-9)
+
+
+class TestStubbornMiningBeatsTheWithholdOverrideOptimum:
+    """The MDP optimises withhold/override on pool events only.
+
+    Honest-event responses stay fixed to Algorithm 1, so the catalogue's
+    ``lead_stubborn``, which keeps racing where Algorithm 1 gives up, lies
+    outside its policy class and beats its exact optimum at large ``alpha``.
+    """
+
+    def test_lead_stubborn_earns_more_than_five_standard_errors_above(self):
+        params = MiningParams(alpha=0.45, gamma=0.5)
+        optimum = solve_optimal_policy(params).optimal_share
+        config = SimulationConfig(
+            params=params, num_blocks=20_000, seed=SEED, strategy="lead_stubborn"
+        )
+        runs = 10
+        measured = run_many(config, runs, backend="chain", max_workers=1).relative_pool_revenue
+        standard_error = measured.std / math.sqrt(runs)
+        assert measured.mean - optimum > 5.0 * standard_error, (
+            f"lead_stubborn {measured} vs withhold/override optimum {optimum:.5f}"
+        )

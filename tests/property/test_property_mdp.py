@@ -6,7 +6,7 @@ Three families of universally quantified facts:
   family contains, in particular the analytically evaluable catalogue corners
   (Algorithm 1, honest mining's ``revenue = alpha``), for random
   ``(alpha, gamma)`` points.
-* **Policy-improvement monotonicity** — the Dinkelbach share sequence never
+* **Policy-improvement monotonicity** — the policy-iteration share sequence never
   decreases, and pinning the policy to Algorithm 1 reproduces
   :class:`~repro.analysis.revenue.RevenueModel`'s rates exactly: the MDP is a
   strict generalisation of the paper's chain, not a parallel implementation.
@@ -67,7 +67,7 @@ def test_optimal_share_dominates_the_evaluable_catalogue(point):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(point=parameter_points)
 def test_policy_improvement_is_monotone(point):
-    """The Dinkelbach share sequence is non-decreasing (strictly until optimal)."""
+    """The policy-iteration share sequence strictly increases round by round."""
     alpha, gamma = point
     result = MdpSolver(MiningParams(alpha=alpha, gamma=gamma), max_lead=MAX_LEAD).solve()
     for earlier, later in zip(result.shares, result.shares[1:]):

@@ -47,7 +47,7 @@ class TestOptimalFrontierDriver:
 
     def test_report_renders_every_section(self, result):
         text = result.report()
-        assert "Optimal-strategy frontier" in text
+        assert "Best withhold/override policy on pool events" in text
         assert "Policy structure" in text
         assert "solver vs chain simulation" in text
         assert "stubborn catalogue" in text

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.analysis.revenue import RevenueModel
 from repro.errors import ConvergenceError, ParameterError
 from repro.markov.state import State
+from repro.mdp import solver as solver_module
 from repro.mdp.model import PoolDecision
 from repro.mdp.solver import (
     MdpSolver,
@@ -106,10 +108,49 @@ class TestSolve:
         assert below.policy_label() == "honest"
         assert above.policy_label() == "selfish"
 
-    def test_rvi_iteration_budget_enforced(self):
-        solver = solver_at(0.35, 0.5)
-        with pytest.raises(ConvergenceError, match="relative value iteration"):
-            solver.improve(0.35, max_iterations=2)
+    def test_round_cap_enforced(self, monkeypatch):
+        # At alpha 0.1 the solve accepts one round (to honest) and needs a second
+        # to confirm that nothing switches.
+        monkeypatch.setattr(solver_module, "_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError, match="policy iteration"):
+            solver_at(0.1, 0.5).solve()
+
+
+class TestPolicyIteration:
+    @pytest.mark.parametrize("alpha,gamma", [(0.1, 0.5), (0.35, 0.0), (0.45, 1.0)])
+    @pytest.mark.parametrize("pinned", ["selfish_policy", "honest_policy"])
+    def test_bias_of_a_pinned_policy_satisfies_its_equations(self, alpha, gamma, pinned):
+        solver = solver_at(alpha, gamma)
+        model = solver.model
+        policy = getattr(model, pinned)()
+        share = solver.evaluate(policy).share
+        bias = solver.bias(policy, share)
+        rewards = model.pool_rewards[policy] - share * model.total_rewards[policy]
+        residual = bias - model.expected_values(bias)[policy] - rewards
+        assert bias[0] == 0.0
+        # Row 0 is left out of the solve, yet holds too: the gain is zero at the
+        # policy's own share.
+        assert np.abs(residual).max() <= 1e-12
+
+    def test_an_exact_tie_keeps_the_incumbent_decision(self):
+        # At alpha 0 the pool never mines, so withholding and overriding differ
+        # only in an edge of rate 0 and tie exactly at every state.
+        solver = solver_at(0.0, 0.5)
+        model = solver.model
+        q = model.pool_rewards + model.expected_values(solver.bias(model.honest_policy(), 0.0))
+        withhold = q[model.selfish_policy()]
+        override = q[model.honest_policy()]
+        assert np.array_equal(withhold, override)
+        for policy in (model.honest_policy(), model.selfish_policy()):
+            assert np.array_equal(solver.policy_step(policy, 0.0), policy)
+
+    def test_a_strictly_better_action_switches(self):
+        solver = solver_at(0.1, 0.5)
+        model = solver.model
+        selfish = model.selfish_policy()
+        improved = solver.policy_step(selfish, solver.evaluate(selfish).share)
+        assert improved[0] == model.flat_index(0, PoolDecision.OVERRIDE)
+        assert np.array_equal(solver.policy_step(improved, solver.evaluate(improved).share), improved)
 
 
 class TestCaching:
@@ -133,3 +174,32 @@ class TestCaching:
     def test_invalid_truncation_rejected(self):
         with pytest.raises(ParameterError, match="max_lead"):
             solve_optimal_policy(MiningParams(alpha=0.3, gamma=0.5), max_lead=1)
+
+
+class TestNoInteriorPolicyWins:
+    """README's finding: every optimum is honest mining or exactly Algorithm 1.
+
+    A policy-improvement loop that stopped a round early would leave an optimum
+    below one of the two corners, or label it ``selfish+k``.
+    """
+
+    ALPHAS = [round(0.05 + 0.04 * step, 2) for step in range(12)]
+    SCHEDULES = {
+        "byzantium": EthereumByzantiumSchedule(),
+        "flat-2/8": FlatUncleSchedule(2 / 8),
+        "flat-7/8": FlatUncleSchedule(7 / 8),
+        "bitcoin": BitcoinSchedule(),
+    }
+
+    @pytest.mark.parametrize("name", SCHEDULES)
+    def test_every_optimum_is_a_corner(self, name):
+        schedule = self.SCHEDULES[name]
+        for alpha in self.ALPHAS:
+            for gamma in (0.0, 0.5, 1.0):
+                solver = MdpSolver(MiningParams(alpha=alpha, gamma=gamma), schedule)
+                result = solver.solve()
+                selfish = solver.evaluate(solver.model.selfish_policy()).share
+                honest = solver.evaluate(solver.model.honest_policy()).share
+                point = (alpha, gamma)
+                assert result.policy_label() in ("honest", "selfish"), point
+                assert result.optimal_share == max(selfish, honest), point

@@ -385,3 +385,28 @@ class TestPolicyStoreLevel:
         assert len(fresh.decisions) == 17
         # The fresh solve replaced the old-shape row.
         assert store.get(POLICY_NAMESPACE, key) == _policy_payload(lumped)
+
+    def test_policy_stored_by_the_value_iteration_solver_reads_as_a_miss(self, store):
+        from repro.mdp.solver import (
+            _policy_payload,
+            _policy_store_key,
+            clear_policy_cache,
+            solve_optimal_policy,
+        )
+
+        params = MiningParams(alpha=0.35, gamma=0.5)
+        schedule = EthereumByzantiumSchedule()
+        clear_policy_cache()
+        solved = solve_optimal_policy(params, max_lead=8)
+        # The value-iteration solver also stored its sweep count.  The shares are
+        # altered too, so a served row would not equal the fresh solve.
+        old_shape = _policy_payload(solved)
+        old_shape["shares"] = [0.5]
+        old_shape["rvi_iterations"] = 412
+        key = _policy_store_key(params, schedule, 8)
+        store.put(POLICY_NAMESPACE, key, old_shape)
+        clear_policy_cache()
+        fresh = solve_optimal_policy(params, max_lead=8, store=store)
+        assert fresh == solved
+        # The fresh solve replaced the old-shape row.
+        assert store.get(POLICY_NAMESPACE, key) == _policy_payload(solved)
