@@ -177,11 +177,13 @@ class RevenueModel:
     chain as a :class:`~repro.markov.transitions.LumpedChain`, and its
     transitions' row keys, with the schedule resolved once per uncle distance,
     as a :class:`~repro.analysis.reward_cases.RewardRows` (65 distinct rows for
-    300 transitions at ``max_lead = 60``).  A parameter point then computes its
-    transitions' rates, runs one banded elimination
-    (:func:`~repro.markov.stationary.banded_solve`, ``O(max_lead)`` and without
-    scipy: in this state order every inflow comes from a neighbouring lead),
-    computes each keyed row once with its own ``alpha``, ``beta`` and
+    300 transitions at ``max_lead = 60``).  The chain compiles the structure of
+    its stationary solve with it: an
+    :class:`~repro.markov.stationary.EliminationPlan` (``O(max_lead)`` and
+    without scipy: in this state order every inflow comes from a neighbouring
+    lead).  A parameter point then computes its transitions' rates, replays the
+    plan's float operations on them (no residual: the model does not report
+    one), computes each keyed row once with its own ``alpha``, ``beta`` and
     ``gamma``, gathers the rows per transition of non-zero weight and folds
     them.  A schedule that pays a negative reward at a distance the chain
     reaches raises :class:`~repro.errors.ParameterError` on construction.
@@ -215,7 +217,7 @@ class RevenueModel:
         """Compute the long-run revenue and block rates at ``params``."""
         chain = self.chain
         rates = chain.rates(params)
-        probabilities, _ = chain.solve(rates)
+        probabilities = chain.solve(rates)
         rows_for = partial(self.rewards.gather, params)
         return stationary_rates(params, probabilities, chain.sources, rates, rows_for, chain.boundary)
 

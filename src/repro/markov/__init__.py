@@ -9,7 +9,8 @@ public branch lengths, Section IV-B).  This subpackage provides:
 * :mod:`repro.markov.transitions` — the transition rates of Section IV-C,
 * :mod:`repro.markov.chain` — a generic finite Markov-chain container,
 * :mod:`repro.markov.stationary` — the stationary-distribution solves: a pure-Python
-  banded elimination for the lumped chains and a sparse LU (scipy) for any
+  banded elimination for the lumped chains, compiled once per sparsity pattern
+  and replayed per rate vector, and a sparse LU (scipy) for any
   :class:`~repro.markov.chain.MarkovChain`.
 
 The closed-form distribution of Eq. (2) and the multiple-summation helper

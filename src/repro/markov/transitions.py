@@ -49,7 +49,7 @@ from typing import Iterator
 from ..params import MiningParams
 from .chain import Transition
 from .state import ZERO_STATE, LumpedSpace, State
-from .stationary import banded_solve
+from .stationary import EliminationPlan
 
 #: Positions in :func:`rate_values`: the five distinct entries of the Rate column.
 _ALPHA, _BETA, _BETA_GAMMA, _BETA_NOT_GAMMA, _ALPHA_PLUS_BETA = range(5)
@@ -193,11 +193,12 @@ class LumpedChain:
 
     In enumeration order, :attr:`edges` holds each transition's source state,
     target state and kind, and :attr:`sources` and :attr:`targets` their indices
-    in ``space``.  :attr:`moves` lists the transitions that leave their state (a
-    self-loop cancels out of the balance equations) and :attr:`boundary` the
-    indices of the states whose pool extension self-loops.  Only the rates
-    depend on the parameter point: :meth:`rates` computes them and :meth:`solve`
-    runs the banded elimination on them.
+    in ``space``.  :attr:`boundary` lists the indices of the states whose pool
+    extension self-loops.  The constructor also compiles the stationary solve's
+    elimination over these indices once, as :attr:`plan`
+    (:class:`~repro.markov.stationary.EliminationPlan`, which skips the
+    self-loops).  Only the rates depend on the parameter point: :meth:`rates`
+    computes them and :meth:`solve` replays the elimination on them.
     """
 
     def __init__(self, space: LumpedSpace) -> None:
@@ -210,9 +211,7 @@ class LumpedChain:
         index = space.index_of
         self.sources: list[int] = [index(source) for source, _, _ in self.edges]
         self.targets: list[int] = [index(target) for _, target, _ in self.edges]
-        self.moves: list[int] = [
-            k for k, (source, target) in enumerate(zip(self.sources, self.targets)) if source != target
-        ]
+        self.plan = EliminationPlan(len(space), self.sources, self.targets)
         self.boundary: list[int] = space.boundary_indices()
         self._rate_indices = [kind.rate_index for _, _, kind in self.edges]
 
@@ -221,10 +220,9 @@ class LumpedChain:
         values = rate_values(params)
         return [values[index] for index in self._rate_indices]
 
-    def solve(self, rates: list[float]) -> tuple[tuple[float, ...], float]:
-        """The stationary probabilities (in ``space`` order) and residual under ``rates``."""
-        sources, targets = self.sources, self.targets
-        return banded_solve(len(self.space), [(sources[k], targets[k], rates[k]) for k in self.moves])
+    def solve(self, rates: list[float]) -> tuple[float, ...]:
+        """The stationary probabilities, in ``space`` order, under ``rates``."""
+        return self.plan.solve(rates)
 
 
 def selfish_mining_transitions(params: MiningParams, space: LumpedSpace) -> list[SelfishTransition]:

@@ -7,7 +7,7 @@ approach of Sapirshtein et al. for Bitcoin).  Each round of
 
 1. **Evaluate** the incumbent policy *exactly*, with the call sequence of
    :meth:`~repro.analysis.revenue.RevenueModel.revenue_rates`: one banded
-   elimination (:func:`~repro.markov.stationary.banded_solve`) on the chosen
+   elimination (:class:`~repro.markov.stationary.EliminationPlan`) on the chosen
    edges' state indices, whose override jumps land in the anchored row, then the
    fold of their Appendix-B rows through
    :func:`~repro.analysis.revenue.stationary_rates`.  A policy pinned to the
@@ -44,7 +44,7 @@ import numpy as np
 from ..analysis.revenue import RevenueRates, stationary_rates
 from ..errors import ConvergenceError, ParameterError
 from ..markov.state import State
-from ..markov.stationary import banded_solve
+from ..markov.stationary import EliminationPlan
 from ..params import MiningParams
 from ..rewards.breakdown import PartyRewards, RevenueSplit
 from ..rewards.schedule import EthereumByzantiumSchedule, RewardSchedule
@@ -182,11 +182,12 @@ class MdpSolver:
     def evaluate(self, policy: np.ndarray) -> PolicyEvaluation:
         """Exact long-run rates of ``policy`` (flat action index per state).
 
-        Solves the chain the chosen actions' edges form with
-        :func:`~repro.markov.stationary.banded_solve` and settles their
+        Compiles an :class:`~repro.markov.stationary.EliminationPlan` over the
+        chosen actions' edges, solves their chain with it and settles their
         Appendix-B rows through :func:`repro.analysis.revenue.stationary_rates`,
         as :meth:`repro.analysis.revenue.RevenueModel.revenue_rates` does for
-        Algorithm 1, so the selfish-pinned policy reproduces it exactly.
+        Algorithm 1, so the selfish-pinned policy reproduces it exactly.  Each
+        policy has its own edge pattern, so each evaluation compiles its own plan.
         """
         model = self.model
         params = self.params
@@ -194,10 +195,8 @@ class MdpSolver:
         sources = model.sources[chosen].tolist()
         targets = model.targets[chosen].tolist()
         rates = model.rates[chosen].tolist()
-        probabilities, residual = banded_solve(
-            model.num_states,
-            [(source, target, rate) for source, target, rate in zip(sources, targets, rates) if source != target],
-        )
+        plan = EliminationPlan(model.num_states, sources, targets)
+        probabilities = plan.solve(rates)
         revenue = stationary_rates(
             params,
             probabilities,
@@ -206,19 +205,7 @@ class MdpSolver:
             lambda live: model.rewards.gather(params, chosen[live]),
             model.space.boundary_indices(),
         )
-        return PolicyEvaluation(rates=revenue, residual=residual)
-
-    def evaluate_decisions(self, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:
-        """Evaluate a policy given as a (possibly partial) ``state -> decision`` map.
-
-        States absent from the map take Algorithm 1's decision; the map form is
-        what the pinning tests use.
-        """
-        policy = self.model.selfish_policy().copy()
-        for state, decision in decisions.items():
-            index = self.model.space.index_of(state)
-            policy[index] = self.model.flat_index(index, decision)
-        return self.evaluate(policy)
+        return PolicyEvaluation(rates=revenue, residual=plan.residual(probabilities, rates))
 
     # ------------------------------------------------------------------ policy iteration
     def bias(self, policy: np.ndarray, share: float) -> np.ndarray:

@@ -7,9 +7,11 @@
   transition sequence from the same seed and agree on every total to
   float-reassociation accuracy.
 * :func:`solve_power_iteration` iterates the uniformised transition matrix, an
-  independent cross-check of the sparse direct ``stationary_distribution``;
-  :func:`banded_stationary_distribution` runs ``banded_solve`` on a
-  ``MarkovChain``, so the two solves can be compared on the same chain.
+  independent cross-check of the sparse direct ``stationary_distribution``.
+  :func:`banded_solve` is the elimination on Python ``{column: value}`` rows,
+  the oracle the compiled ``EliminationPlan`` replays bit for bit, and
+  :func:`banded_stationary_distribution` runs it on a ``MarkovChain``, so it
+  and the sparse direct solve can be compared on the same chain.
 * :func:`scalar_revenue_rates` accumulates the long-run rates one transition at a
   time, the oracle for the ``fold_rewards`` product ``RevenueModel`` settles with.
 * :class:`StateSpace` is the unlumped ``(Ls, Lh)`` space with the private branch
@@ -30,19 +32,20 @@
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.analysis.revenue import RevenueModel, RevenueRates, stationary_rates
 from repro.analysis.reward_cases import REWARD_COMPONENTS, TransitionRewards, transition_rewards
-from repro.errors import ConvergenceError, ParameterError, StateSpaceError
+from repro.errors import ConvergenceError, ParameterError, SolverError, StateSpaceError
 from repro.markov.chain import MarkovChain, Transition
 from repro.markov.state import LumpedSpace, State
-from repro.markov.stationary import StationaryResult, banded_solve, stationary_distribution
+from repro.markov.stationary import StationaryResult, _clean_distribution, stationary_distribution
 from repro.markov.transitions import SelfishTransition, selfish_mining_transitions, transitions_from_state
 from repro.mdp.model import PoolDecision, available_decisions, decision_transitions
 from repro.params import MiningParams
@@ -141,6 +144,54 @@ def scalar_markov_run(
     return result, state
 
 
+def banded_solve(size: int, moves: Sequence[tuple[int, int, float]]) -> tuple[tuple[float, ...], float]:
+    """Solve ``pi Q = 0, sum(pi) = 1`` by Gaussian elimination on Python rows.
+
+    The chain has states ``0 .. size - 1`` and ``Q``'s off-diagonal entries
+    come from ``moves``, ``(source, target, rate)`` triples without self-loops;
+    repeated pairs add up.  Returns the probabilities and the residual
+    ``max |pi Q|``.  The system, the anchor, the elimination order and the
+    checks are ``repro.markov.stationary.EliminationPlan``'s: here each row is
+    one ``{column: value}`` dictionary, eliminated in place.
+    """
+    rows: list[dict[int, float]] = [{} for _ in range(size)]
+    for source, target, rate in moves:
+        rows[target][source] = rows[target].get(source, 0.0) + rate
+        rows[source][source] = rows[source].get(source, 0.0) - rate
+    rows[0] = {0: 1.0}
+    rhs = [0.0] * size
+    rhs[0] = 1.0
+    for i in range(1, size):
+        row = rows[i]
+        pending = [column for column in row if column < i]
+        heapq.heapify(pending)
+        while pending:
+            k = heapq.heappop(pending)
+            factor = row.pop(k) / rows[k][k]
+            for column, value in rows[k].items():
+                if column > k:
+                    if column not in row and column < i:
+                        heapq.heappush(pending, column)
+                    row[column] = row.get(column, 0.0) - factor * value
+            rhs[i] -= factor * rhs[k]
+        if not row.get(i):
+            raise SolverError(f"zero pivot at state index {i} (anchor state starved?)")
+    solution = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        row = rows[i]
+        upper = sum(value * solution[column] for column, value in row.items() if column > i)
+        solution[i] = (rhs[i] - upper) / row[i]
+    if not all(math.isfinite(value) for value in solution):
+        raise SolverError("banded solve produced non-finite values (anchor state starved?)")
+    probabilities = _clean_distribution(np.asarray(solution)).tolist()
+    net_inflow = [0.0] * size
+    for source, target, rate in moves:
+        flow = probabilities[source] * rate
+        net_inflow[target] += flow
+        net_inflow[source] -= flow
+    return tuple(probabilities), max(abs(value) for value in net_inflow)
+
+
 def banded_stationary_distribution(chain: MarkovChain) -> StationaryResult:
     """The stationary distribution of ``chain`` by ``banded_solve``, self-loops dropped.
 
@@ -158,6 +209,8 @@ def solve_power_iteration(
     chain: MarkovChain, *, tolerance: float = 1e-12, max_iterations: int = 200_000
 ) -> StationaryResult:
     """Stationary distribution by iterating the uniformised matrix ``P = I + Q / q``."""
+    from scipy import sparse
+
     size = len(chain)
     generator = chain.generator_matrix()
     uniform_rate = float(np.asarray(chain.rate_matrix().sum(axis=1)).max())
@@ -366,6 +419,8 @@ def full_space_optimal_policy(
     SuperLU solve of its chain and the fold of its transitions' records, and the
     evaluated share becomes the next ``rho`` until the policy stops improving.
     """
+    from scipy import sparse
+
     space = StateSpace(max_lead)
     actions: list[tuple[PoolDecision, list[SelfishTransition], list[TransitionRewards]]] = []
     offsets = [0]

@@ -93,7 +93,8 @@ class TestBandedSolver:
     def test_lumped_chain_inflows_stay_within_two_positions(self, max_lead):
         # Resets to (0, 0) land in the anchor row, which the solve replaces;
         # every other inflow must come from at most two positions away, so the
-        # elimination creates no fill-in.
+        # elimination fills in nothing outside that band
+        # (test_elimination_plan.py pins where it does fill in).
         chain = lumped_chain(MiningParams(alpha=0.3, gamma=0.5), max_lead)
         widths = [
             abs(chain.index_of(t.source) - chain.index_of(t.target))

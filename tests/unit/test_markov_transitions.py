@@ -199,7 +199,7 @@ class TestLumpedChain:
     def test_moves_leave_out_exactly_the_self_loops(self):
         chain = LumpedChain(LumpedSpace(8))
         loops = [k for k, (source, target, _) in enumerate(chain.edges) if source == target]
-        assert loops and sorted(chain.moves + loops) == list(range(len(chain.edges)))
+        assert loops and sorted(chain.plan.moves + loops) == list(range(len(chain.edges)))
 
     def test_boundary_is_the_lead_cap(self):
         space = LumpedSpace(8)

@@ -14,6 +14,7 @@ from repro.mdp import solver as solver_module
 from repro.mdp.model import PoolDecision
 from repro.mdp.solver import (
     MdpSolver,
+    PolicyEvaluation,
     clear_policy_cache,
     solve_optimal_policy,
 )
@@ -25,6 +26,16 @@ MAX_LEAD = 20
 
 def solver_at(alpha: float, gamma: float, **kwargs) -> MdpSolver:
     return MdpSolver(MiningParams(alpha=alpha, gamma=gamma), max_lead=MAX_LEAD, **kwargs)
+
+
+def evaluate_decisions(solver: MdpSolver, decisions: dict[State, PoolDecision]) -> PolicyEvaluation:
+    """Evaluate Algorithm 1 with the states in ``decisions`` switched to their given decision."""
+    model = solver.model
+    policy = model.selfish_policy().copy()
+    for state, decision in decisions.items():
+        index = model.space.index_of(state)
+        policy[index] = model.flat_index(index, decision)
+    return solver.evaluate(policy)
 
 
 class TestPolicyEvaluation:
@@ -59,7 +70,7 @@ class TestPolicyEvaluation:
 
     def test_decision_map_form_overrides_selected_states(self):
         solver = solver_at(0.3, 0.5)
-        pinned = solver.evaluate_decisions({State(0, 0): PoolDecision.OVERRIDE})
+        pinned = evaluate_decisions(solver, {State(0, 0): PoolDecision.OVERRIDE})
         assert pinned.share == pytest.approx(0.3, abs=1e-12)
 
 

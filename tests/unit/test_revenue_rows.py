@@ -71,7 +71,7 @@ class TestGatheredRows:
             model.revenue_rates(params)
             ((weights, components, distance_rows),) = folded
             rates = chain.rates(params)
-            probabilities, _ = chain.solve(rates)
+            probabilities = chain.solve(rates)
             live = [k for k, rate in enumerate(rates) if probabilities[chain.sources[k]] * rate]
             # With 0 < gamma < 1 every rate is positive.  At max_lead 2 no lead
             # reaches 3, so the forked lead-2 class is never visited: its three
